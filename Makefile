@@ -7,9 +7,9 @@ FUZZTIME ?= 15s
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: ci vet vet-report mgspvet lint lint-tools build test race torture fuzz bench cover bench-json bench-smoke serve-smoke
+.PHONY: ci vet vet-report mgspvet lint lint-tools build test ledger-test race torture fuzz bench cover bench-json bench-smoke serve-smoke
 
-ci: vet vet-report build test race serve-smoke ## everything CI runs
+ci: vet vet-report build test ledger-test race serve-smoke ## everything CI runs
 
 # Static analysis gate: stock go vet plus the project's own interprocedural
 # analyzers (the mgspsummary effect-summary engine feeding persistorder,
@@ -51,6 +51,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark ledger is its own module (benchmark/go.mod), so `go test ./...`
+# at the root never reaches it. Its tests compile against the packages it
+# measures (internal/cache's Pool among them) and keep identifiers of deleted
+# options out of the ledger.
+ledger-test:
+	cd benchmark && $(GO) test .
 
 # Optional deep lint: staticcheck + govulncheck at pinned versions. Both
 # tools need a one-time network install (`make lint-tools`); when they are
@@ -98,7 +105,7 @@ serve-smoke:
 
 # The instrumented core + mixed + many-core ladder experiments at quick
 # scale, emitting the full obs payload (throughput, latency quantiles, WA
-# ratio, contention counters, cache-tier hit/miss/flush counters, fig10s
+# ratio, contention counters, cache-tier hit/miss/eviction counters, fig10s
 # scalability ladder to 4*MaxThreads workers). mgspstat -validate enforces
 # the fig10s disjoint-writer try-fail budget (<= 0.05/op).
 bench-json:

@@ -17,14 +17,12 @@ var mixedRatios = []int{10, 30, 50, 70, 90}
 
 // cacheMetricKeys are the cache-tier counters exported per cell.
 var cacheMetricKeys = []string{
-	"cache.hits", "cache.misses", "cache.evictions",
-	"cache.dirty_frames", "cache.flush_batches", "cache.read_retry",
-	"core.buffered_writes",
+	"cache.hits", "cache.misses", "cache.evictions", "cache.read_retry",
 }
 
-// Mixed runs the read/write-ratio sweep (the fig9 shape) across three
-// configurations per ratio — no cache, write-through cache, write-back
-// cache — each on a fresh MGSP instance, and reports MiB/s per cell. The
+// Mixed runs the read/write-ratio sweep (the fig9 shape) across two
+// configurations per ratio — no cache and the write-through cache — each on
+// a fresh MGSP instance, and reports MiB/s per cell. The
 // cache is sized to the working set (FileSize/4096 frames) so the sweep
 // measures the protocol cost, not capacity misses; per-cell cache counters
 // and fs.read_ns histograms ride along in the JSON report keyed
@@ -37,12 +35,9 @@ func Mixed(sc Scale) (*Table, map[string]float64, map[string]obs.HistSnapshot, e
 	frames := int(sc.FileSize / 4096)
 	wt := core.DefaultOptions()
 	wt.CacheFrames = frames
-	wb := wt
-	wb.WriteBack = true
 	variants := []variant{
 		{"MGSP", core.DefaultOptions()},
 		{"+cache", wt},
-		{"+writeback", wb},
 	}
 	threads := sc.MaxThreads
 	if threads > 4 {
@@ -57,7 +52,7 @@ func Mixed(sc Scale) (*Table, map[string]float64, map[string]obs.HistSnapshot, e
 	for j, v := range variants {
 		cols[j] = v.name
 	}
-	t := NewTable("mixed", "mixed read/write sweep, 4 KiB random (fig9 shape): cache off / write-through / write-back",
+	t := NewTable("mixed", "mixed read/write sweep, 4 KiB random (fig9 shape): cache off / write-through cache",
 		"MiB/s", cols, rows)
 	metrics := make(map[string]float64)
 	hists := make(map[string]obs.HistSnapshot)
@@ -96,6 +91,6 @@ func Mixed(sc Scale) (*Table, map[string]float64, map[string]obs.HistSnapshot, e
 	}
 	t.Notes = append(t.Notes,
 		"per-cell cache counters and fs.read_ns histograms ride in the -json report",
-		"cache sized to the working set; +writeback also buffers overwrites in DRAM frames")
+		"cache sized to the working set")
 	return t, metrics, hists, nil
 }

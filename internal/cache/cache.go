@@ -1,18 +1,17 @@
 // Package cache is MGSP's volatile DRAM frame tier: a fixed-capacity,
-// set-associative pool of block-sized frames keyed by (file slot, block)
-// sitting between the vfs API and the shadow tree. Reads are optimistic and
-// latch-free — a reader copies from a frame and validates a per-frame
-// version counter (Lersch et al.'s optimistic-consistency protocol), never
-// taking a latch on the hit path — while installs, patches, and clock
+// set-associative, write-through pool of block-sized frames keyed by (file
+// slot, block) sitting between the vfs API and the shadow tree. Reads are
+// optimistic and latch-free — a reader copies from a frame and validates a
+// per-frame version counter (Lersch et al.'s optimistic-consistency
+// protocol), never taking a latch — while installs, patches, and clock
 // eviction serialize on a per-set mutex that is only ever held across pure
 // DRAM work, never across a media operation.
 //
-// Crash consistency never depends on this package: frames are volatile,
-// dirty frames hold acked-but-undurable write-back data that only becomes
-// durable when core drains it through the ordinary shadow-log commit path
-// (WriteMulti batches), and a remount always starts from an empty pool. A
-// torn flusher mid-drain is therefore indistinguishable from unbatched
-// writes — see DESIGN.md §13.
+// Crash consistency never depends on this package: a frame only ever mirrors
+// content the shadow log has already committed, so every frame is a
+// redundant copy — evicting, invalidating, or losing one costs a media read,
+// never data — and a remount always starts from an empty pool. See
+// DESIGN.md §13.
 //
 // Concurrency protocol (the part -race cares about): every frame field that
 // the latch-free reader touches is atomic, and frame content lives behind an
@@ -20,9 +19,8 @@
 // buffer in place — they copy, patch the copy, and swap the pointer inside
 // an odd/even seqlock window on the version counter. A reader that observed
 // an even version before and after its copy saw one consistent (key, data)
-// pair; anything else retries and finally falls back to the set latch, so a
-// present frame is never silently bypassed (write-back correctness: a miss
-// must imply the media is current).
+// pair; anything else retries, and a reader that keeps colliding reports a
+// miss, which the caller serves from media.
 package cache
 
 import (
@@ -33,14 +31,13 @@ import (
 )
 
 // ways is the set associativity. Eight frames per set keeps the optimistic
-// probe short (at most eight version loads) while giving the clock hand
-// enough clean candidates that a single pinned-dirty frame cannot stall
-// eviction for a whole set.
+// probe short (at most eight version loads) while giving the clock hand a
+// real choice of victim.
 const ways = 8
 
-// optimisticRetries bounds the latch-free attempts before a read escalates
-// to the set latch. Conflicts are short (a patch is one buffer swap), so one
-// retry usually suffices; the bound keeps the worst case finite.
+// optimisticRetries bounds the latch-free attempts before a read gives up
+// and reports a miss. Conflicts are short (a patch is one buffer swap), so
+// one retry usually suffices; the bound keeps the worst case finite.
 const optimisticRetries = 3
 
 // frame is one cached block. All fields the latch-free read path touches are
@@ -52,7 +49,6 @@ type frame struct {
 	slot  atomic.Int64
 	block atomic.Int64
 	data  atomic.Pointer[[]byte]
-	dirty atomic.Bool
 	ref   atomic.Bool // clock reference bit
 }
 
@@ -70,14 +66,11 @@ type Pool struct {
 	mask      int64
 	blockSize int64
 
-	// Metrics (registered under "cache." by Register). dirty is the live
-	// dirty-frame count, also the flusher's watermark signal.
-	hits         obs.Counter
-	misses       obs.Counter
-	evictions    obs.Counter
-	readRetry    obs.Counter
-	flushBatches obs.Counter
-	dirty        atomic.Int64
+	// Metrics (registered under "cache." by Register).
+	hits      obs.Counter
+	misses    obs.Counter
+	evictions obs.Counter
+	readRetry obs.Counter
 }
 
 // New builds a pool of at least `frames` block-sized frames. The set count
@@ -106,9 +99,6 @@ func (p *Pool) Frames() int { return len(p.sets) * ways }
 // BlockSize returns the frame size in bytes.
 func (p *Pool) BlockSize() int64 { return p.blockSize }
 
-// DirtyCount returns the number of dirty frames (the flusher watermark).
-func (p *Pool) DirtyCount() int64 { return p.dirty.Load() }
-
 func (p *Pool) setFor(slot int, block int64) *set {
 	// Fibonacci-style mix so files sharing low block numbers spread out.
 	h := (uint64(block)*0x9E3779B97F4A7C15 + uint64(slot)*0xFF51AFD7ED558CCD)
@@ -116,29 +106,14 @@ func (p *Pool) setFor(slot int, block int64) *set {
 }
 
 // Read copies len(dst) bytes at byte offset off within the cached (slot,
-// block) frame into dst. It is latch-free on the hit path: copy, then
-// validate the version; on repeated conflicts it escalates to the set latch
-// so a present frame is never bypassed (in write-back mode the frame may be
-// the only holder of acked data, so "fall through to media" is only sound
-// when the frame is truly absent). Returns false only on a true miss.
+// block) frame into dst. It never takes a latch: copy, then validate the
+// version. Returns false on a miss — the frame is absent, or every attempt
+// collided with a concurrent mutation. Either way the media holds the
+// committed content, so the caller's fallback read is always correct.
 func (p *Pool) Read(slot int, block int64, dst []byte, off int) bool {
-	s := p.setFor(slot, block)
-	hit, retries, escalate := readOptimistic(s, slot, block, dst, off)
+	hit, retries := readOptimistic(p.setFor(slot, block), slot, block, dst, off)
 	if retries > 0 {
 		p.readRetry.Add(retries)
-	}
-	if escalate {
-		// Optimistic attempts kept colliding with patches: take the latch once.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if f := s.find(slot, block); f != nil {
-			copy(dst, (*f.data.Load())[off:off+len(dst)])
-			f.ref.Store(true)
-			p.hits.Add(1)
-			return true
-		}
-		p.misses.Add(1)
-		return false
 	}
 	if hit {
 		p.hits.Add(1)
@@ -151,9 +126,8 @@ func (p *Pool) Read(slot int, block int64, dst []byte, off int) bool {
 // readOptimistic runs the latch-free attempts over the set. Its seqlock read
 // sections are pure copies — all metric accounting is returned to the caller,
 // because an effect inside an unvalidated section cannot be rolled back when
-// the validation fails. escalate reports that every attempt conflicted and
-// the caller must retry under the set latch.
-func readOptimistic(s *set, slot int, block int64, dst []byte, off int) (hit bool, retries int64, escalate bool) {
+// the validation fails.
+func readOptimistic(s *set, slot int, block int64, dst []byte, off int) (hit bool, retries int64) {
 	for attempt := 0; attempt < optimisticRetries; attempt++ {
 		conflict := false
 		for w := range s.frames {
@@ -165,8 +139,8 @@ func readOptimistic(s *set, slot int, block int64, dst []byte, off int) (hit boo
 			}
 			if f.slot.Load() != int64(slot) || f.block.Load() != block {
 				// Re-validate before ruling the frame out: if it mutated under
-				// us the identity snapshot is stale, and "absent" must not be
-				// concluded from it (write-back: a miss falls through to media).
+				// us the identity snapshot is stale and the frame may have just
+				// become the one we want.
 				if f.ver.Load() != v1 {
 					conflict = true
 				}
@@ -182,16 +156,16 @@ func readOptimistic(s *set, slot int, block int64, dst []byte, off int) (hit boo
 			copy(dst, (*data)[off:off+len(dst)])
 			if f.ver.Load() == v1 {
 				f.ref.Store(true)
-				return true, retries, false
+				return true, retries
 			}
 			conflict = true
 		}
 		if !conflict {
-			return false, retries, false
+			return false, retries
 		}
 		retries++
 	}
-	return false, retries, true
+	return false, retries
 }
 
 // find locates the frame for (slot, block) in s. Callers hold s.mu.
@@ -213,83 +187,52 @@ func publish(f *frame, mutate func()) {
 	f.ver.Add(1) // even: published
 }
 
-// Install inserts a clean-or-dirty frame for (slot, block), taking ownership
-// of data (callers must not touch it afterwards; len(data) must equal the
-// block size). If the key is already present the existing frame's content is
-// replaced — unless it is dirty and the install is clean, in which case the
-// buffered content wins and the install is a no-op (the dirty frame is at
-// least as new as anything read from media). The victim is an empty way or
-// the clock's next clean frame; a set whose frames are all dirty refuses
-// (returns false) — dirty frames are pinned until drained, which is what
-// makes "miss implies media is current" hold in write-back mode.
-func (p *Pool) Install(slot int, block int64, data []byte, dirty bool) bool {
+// Install inserts a frame for (slot, block), taking ownership of data
+// (callers must not touch it afterwards; len(data) must equal the block
+// size). If the key is already present the existing frame's content is
+// replaced; otherwise the victim is an empty way or the clock's next frame.
+// The trailing bool is unused; the benchmark module still passes it.
+func (p *Pool) Install(slot int, block int64, data []byte, _ bool) {
 	s := p.setFor(slot, block)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f := s.find(slot, block); f != nil {
-		if f.dirty.Load() && !dirty {
-			f.ref.Store(true)
-			return true
-		}
-		if dirty && !f.dirty.Load() {
-			p.dirty.Add(1)
-		}
-		publish(f, func() {
-			f.data.Store(&data)
-			f.dirty.Store(dirty)
-		})
-		f.ref.Store(true)
-		return true
-	}
-	f := s.victim(p)
+	f := s.find(slot, block)
 	if f == nil {
-		return false
-	}
-	if dirty {
-		p.dirty.Add(1)
+		f = s.victim(p)
 	}
 	publish(f, func() {
 		f.slot.Store(int64(slot))
 		f.block.Store(block)
 		f.data.Store(&data)
-		f.dirty.Store(dirty)
 	})
 	f.ref.Store(true)
-	return true
 }
 
-// victim picks an empty way, or sweeps the clock hand over clean frames
-// (second chance on the ref bit), skipping dirty ones. Callers hold s.mu.
+// victim picks an empty way, or sweeps the clock hand (second chance on the
+// ref bit): the first lap clears ref bits, so the sweep always ends within
+// two laps. Callers hold s.mu.
 func (s *set) victim(p *Pool) *frame {
 	for w := range s.frames {
 		if s.frames[w].data.Load() == nil {
 			return &s.frames[w]
 		}
 	}
-	// Two sweeps: the first clears ref bits, the second must find a clean
-	// frame unless every frame is dirty.
-	for sweep := 0; sweep < 2*ways; sweep++ {
+	for {
 		f := &s.frames[s.hand]
 		s.hand = (s.hand + 1) % ways
-		if f.dirty.Load() {
-			continue
+		if !f.ref.Swap(false) {
+			p.evictions.Add(1)
+			return f
 		}
-		if f.ref.Swap(false) {
-			continue
-		}
-		p.evictions.Add(1)
-		return f
 	}
-	return nil
 }
 
-// Patch overlays p[...] at byte offset off of the cached (slot, block)
-// frame, copy-on-write: the published buffer is never written in place.
-// markDirty=true is the write-back buffered path (the frame becomes the only
-// holder of the acked data until drained); markDirty=false mirrors a
-// committed direct write and leaves the dirty flag as it was. Returns false
-// when the frame is absent — the caller then falls back to the direct path.
-func (p *Pool) Patch(slot int, block int64, off int, data []byte, markDirty bool) bool {
+// Patch overlays data at byte offset off of the cached (slot, block) frame,
+// copy-on-write: the published buffer is never written in place. Callers
+// patch with content that has just committed through the shadow log.
+// Returns false when the frame is absent. The trailing bool is unused; the
+// benchmark module still passes it.
+func (p *Pool) Patch(slot int, block int64, off int, data []byte, _ bool) bool {
 	s := p.setFor(slot, block)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,100 +244,14 @@ func (p *Pool) Patch(slot int, block int64, off int, data []byte, markDirty bool
 	buf := make([]byte, len(old))
 	copy(buf, old)
 	copy(buf[off:], data)
-	if markDirty && !f.dirty.Load() {
-		p.dirty.Add(1)
-	}
-	publish(f, func() {
-		f.data.Store(&buf)
-		if markDirty {
-			f.dirty.Store(true)
-		}
-	})
+	publish(f, func() { f.data.Store(&buf) })
 	f.ref.Store(true)
 	return true
 }
 
-// DirtyFrame is one dirty frame captured by CollectDirty: the block, the
-// immutable content buffer at capture time, and the version that lets
-// MarkClean detect a concurrent re-patch.
-type DirtyFrame struct {
-	Block int64
-	Data  []byte
-	f     *frame
-	s     *set
-	ver   uint64
-}
-
-// CollectDirty snapshots the dirty frames of one file slot. The returned
-// buffers are the frames' immutable published content — safe to read (and
-// hand to a media write) without any latch, because patches swap buffers
-// instead of mutating them.
-func (p *Pool) CollectDirty(slot int) []DirtyFrame {
-	var out []DirtyFrame
-	for i := range p.sets {
-		s := &p.sets[i]
-		s.mu.Lock()
-		for w := range s.frames {
-			f := &s.frames[w]
-			if f.dirty.Load() && f.slot.Load() == int64(slot) {
-				out = append(out, DirtyFrame{
-					Block: f.block.Load(),
-					Data:  *f.data.Load(),
-					f:     f,
-					s:     s,
-					ver:   f.ver.Load(),
-				})
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// DirtySlots returns the distinct file slots that currently own dirty
-// frames — the flusher's work list.
-func (p *Pool) DirtySlots() []int {
-	seen := map[int]bool{}
-	var out []int
-	for i := range p.sets {
-		s := &p.sets[i]
-		s.mu.Lock()
-		for w := range s.frames {
-			f := &s.frames[w]
-			if f.dirty.Load() {
-				if slot := int(f.slot.Load()); !seen[slot] {
-					seen[slot] = true
-					out = append(out, slot)
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// MarkClean clears the dirty flag of a collected frame — but only if its
-// version is unchanged since CollectDirty. A version bump means a buffered
-// write re-patched the frame while its old content was being drained; the
-// frame then stays dirty and the next drain picks up the newer content.
-// Reports whether the frame was cleaned.
-func (p *Pool) MarkClean(d DirtyFrame) bool {
-	s := d.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d.f.ver.Load() != d.ver || !d.f.dirty.Load() {
-		return false
-	}
-	d.f.dirty.Store(false)
-	p.dirty.Add(-1)
-	return true
-}
-
-// InvalidateSlot drops every frame (clean or dirty) belonging to the file
-// slot — remove, truncate, and create-over-existing, where the cached
-// content no longer describes the file. Dropped dirty frames are acked but
-// undurable write-back data; all three callers are destroying that data at
-// the file level anyway.
+// InvalidateSlot drops every frame belonging to the file slot — remove,
+// truncate, and create-over-existing, where the cached content no longer
+// describes the file.
 func (p *Pool) InvalidateSlot(slot int) {
 	for i := range p.sets {
 		s := &p.sets[i]
@@ -404,13 +261,9 @@ func (p *Pool) InvalidateSlot(slot int) {
 			if f.slot.Load() != int64(slot) || f.data.Load() == nil {
 				continue
 			}
-			if f.dirty.Load() {
-				p.dirty.Add(-1)
-			}
 			publish(f, func() {
 				f.slot.Store(-1)
 				f.data.Store(nil)
-				f.dirty.Store(false)
 			})
 			f.ref.Store(false)
 		}
@@ -418,34 +271,26 @@ func (p *Pool) InvalidateSlot(slot int) {
 	}
 }
 
-// NoteFlushBatch counts one drained WriteMulti batch (cache.flush_batches).
-func (p *Pool) NoteFlushBatch() { p.flushBatches.Add(1) }
-
 // Stats is a point-in-time copy of the pool counters, for tests.
 type Stats struct {
-	Hits, Misses, Evictions, ReadRetries, FlushBatches, DirtyFrames int64
+	Hits, Misses, Evictions, ReadRetries int64
 }
 
 // Stats returns the counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Hits:         p.hits.Load(),
-		Misses:       p.misses.Load(),
-		Evictions:    p.evictions.Load(),
-		ReadRetries:  p.readRetry.Load(),
-		FlushBatches: p.flushBatches.Load(),
-		DirtyFrames:  p.dirty.Load(),
+		Hits:        p.hits.Load(),
+		Misses:      p.misses.Load(),
+		Evictions:   p.evictions.Load(),
+		ReadRetries: p.readRetry.Load(),
 	}
 }
 
 // Register publishes the pool metrics into r under prefix (core uses
-// "cache."): hit/miss/eviction/optimistic-retry counters, the flush-batch
-// counter the drain path bumps, and the live dirty-frame gauge.
+// "cache."): hit/miss/eviction/optimistic-retry counters.
 func (p *Pool) Register(r *obs.Registry, prefix string) {
 	r.RegisterCounter(prefix+"hits", &p.hits)
 	r.RegisterCounter(prefix+"misses", &p.misses)
 	r.RegisterCounter(prefix+"evictions", &p.evictions)
 	r.RegisterCounter(prefix+"read_retry", &p.readRetry)
-	r.RegisterCounter(prefix+"flush_batches", &p.flushBatches)
-	r.RegisterFunc(prefix+"dirty_frames", func() float64 { return float64(p.dirty.Load()) })
 }

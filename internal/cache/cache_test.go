@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-
-	"mgsp/internal/sim"
 )
 
 const bs = 4096
@@ -24,9 +22,7 @@ func TestReadMissThenInstallHit(t *testing.T) {
 	if p.Read(0, 3, dst, 0) {
 		t.Fatal("read of empty pool must miss")
 	}
-	if !p.Install(0, 3, filled(0xAB), false) {
-		t.Fatal("install into empty pool must succeed")
-	}
+	p.Install(0, 3, filled(0xAB), false)
 	if !p.Read(0, 3, dst, 0) {
 		t.Fatal("read after install must hit")
 	}
@@ -89,124 +85,62 @@ func TestPatchVisibleAndCoW(t *testing.T) {
 	}
 }
 
-func TestDirtyLifecycle(t *testing.T) {
-	p := New(64, bs)
-	p.Install(0, 0, filled(0x01), false)
-	if p.DirtyCount() != 0 {
-		t.Fatal("clean install must not count dirty")
-	}
-	if !p.Patch(0, 0, 0, []byte{0x02}, true) {
-		t.Fatal("dirty patch failed")
-	}
-	if p.DirtyCount() != 1 {
-		t.Fatalf("DirtyCount=%d, want 1", p.DirtyCount())
-	}
-	// Re-dirtying must not double count.
-	p.Patch(0, 0, 1, []byte{0x03}, true)
-	if p.DirtyCount() != 1 {
-		t.Fatalf("DirtyCount=%d after second patch, want 1", p.DirtyCount())
-	}
-	slots := p.DirtySlots()
-	if len(slots) != 1 || slots[0] != 0 {
-		t.Fatalf("DirtySlots=%v", slots)
-	}
-	dirty := p.CollectDirty(0)
-	if len(dirty) != 1 || dirty[0].Block != 0 {
-		t.Fatalf("CollectDirty=%v", dirty)
-	}
-	if dirty[0].Data[0] != 0x02 || dirty[0].Data[1] != 0x03 {
-		t.Fatal("collected content wrong")
-	}
-	if !p.MarkClean(dirty[0]) {
-		t.Fatal("MarkClean of unchanged frame must succeed")
-	}
-	if p.DirtyCount() != 0 {
-		t.Fatal("MarkClean must drop the dirty count")
-	}
-}
-
-func TestMarkCleanVersionGuard(t *testing.T) {
-	p := New(64, bs)
-	p.Install(0, 0, filled(0x01), true)
-	dirty := p.CollectDirty(0)
-	// A buffered write re-patches the frame while the drain is mid-flight.
-	p.Patch(0, 0, 0, []byte{0x55}, true)
-	if p.MarkClean(dirty[0]) {
-		t.Fatal("MarkClean must refuse: frame was re-patched since collection")
-	}
-	if p.DirtyCount() != 1 {
-		t.Fatal("re-patched frame must stay dirty")
-	}
-	// The next collection sees the newer content and cleans fine.
-	dirty = p.CollectDirty(0)
-	if dirty[0].Data[0] != 0x55 {
-		t.Fatal("second collection returned stale content")
-	}
-	if !p.MarkClean(dirty[0]) {
-		t.Fatal("second MarkClean must succeed")
-	}
-}
-
-func TestCleanInstallDoesNotClobberDirty(t *testing.T) {
-	p := New(64, bs)
-	p.Install(0, 0, filled(0x01), true)
-	// A read-side miss fill racing the buffered write must not overwrite
-	// the (newer) buffered content.
-	if !p.Install(0, 0, filled(0x02), false) {
-		t.Fatal("clean install over dirty must report success (frame present)")
-	}
-	dst := make([]byte, bs)
-	p.Read(0, 0, dst, 0)
-	if dst[0] != 0x01 {
-		t.Fatal("clean install clobbered dirty frame content")
-	}
-	if p.DirtyCount() != 1 {
-		t.Fatal("frame must remain dirty")
-	}
-}
-
-func TestClockEvictionSkipsDirty(t *testing.T) {
+// TestClockEvictionSecondChance pins the clock policy on one set: a full set
+// evicts the first frame whose reference bit is already clear, and a frame
+// read since the last sweep survives one more lap.
+func TestClockEvictionSecondChance(t *testing.T) {
 	p := New(1, bs) // one set, `ways` frames
 	if p.Frames() != ways {
 		t.Fatalf("Frames=%d, want %d", p.Frames(), ways)
 	}
-	// Fill the set: one dirty frame, rest clean.
-	p.Install(0, 0, filled(0x00), true)
-	for b := int64(1); b < ways; b++ {
+	for b := int64(0); b < ways; b++ {
 		p.Install(0, b, filled(byte(b)), false)
 	}
-	// Overflow: a new block must evict a clean frame, never the dirty one.
-	if !p.Install(0, 100, filled(0x64), false) {
-		t.Fatal("install must evict a clean frame")
-	}
+	// Every frame is referenced: the first lap clears all bits, the second
+	// evicts block 0 under the hand.
+	p.Install(0, 100, filled(0x64), false)
 	dst := make([]byte, bs)
-	if !p.Read(0, 0, dst, 0) {
-		t.Fatal("dirty frame must never be evicted")
+	p.Read(0, 1, dst, 0) // re-reference block 1
+	// The hand now stands on block 1: referenced, so it is spared and block 2
+	// goes instead.
+	p.Install(0, 101, filled(0x65), false)
+	for _, c := range []struct {
+		block int64
+		want  bool
+	}{{0, false}, {1, true}, {2, false}, {100, true}, {101, true}} {
+		if got := p.Read(0, c.block, dst, 0); got != c.want {
+			t.Errorf("block %d: hit=%v, want %v", c.block, got, c.want)
+		}
 	}
-	if p.Stats().Evictions != 1 {
-		t.Fatalf("evictions=%d, want 1", p.Stats().Evictions)
+	if ev := p.Stats().Evictions; ev != 2 {
+		t.Fatalf("evictions=%d, want 2", ev)
 	}
 }
 
-func TestAllDirtySetRefusesInstall(t *testing.T) {
-	p := New(1, bs)
-	for b := int64(0); b < ways; b++ {
-		p.Install(0, b, filled(byte(b)), true)
+// TestReadConflictReportsMiss: a frame that stays mid-mutation for every
+// optimistic attempt is reported as a miss (the caller then reads media,
+// which always holds the committed content) instead of blocking on the set.
+func TestReadConflictReportsMiss(t *testing.T) {
+	p := New(8, bs)
+	p.Install(0, 0, filled(0x01), false)
+	f := p.setFor(0, 0).find(0, 0)
+	f.ver.Add(1) // odd: a mutation in progress
+	dst := make([]byte, bs)
+	if p.Read(0, 0, dst, 0) {
+		t.Fatal("read of a frame that never stabilizes must miss")
 	}
-	if p.Install(0, 100, filled(0x64), false) {
-		t.Fatal("install into an all-dirty set must refuse")
+	if st := p.Stats(); st.Misses != 1 || st.ReadRetries != optimisticRetries {
+		t.Fatalf("misses=%d retries=%d, want 1/%d", st.Misses, st.ReadRetries, optimisticRetries)
 	}
-	// After draining one frame the set accepts again.
-	d := p.CollectDirty(0)
-	p.MarkClean(d[0])
-	if !p.Install(0, 100, filled(0x64), false) {
-		t.Fatal("install must succeed after a drain freed a frame")
+	f.ver.Add(1) // published
+	if !p.Read(0, 0, dst, 0) || !bytes.Equal(dst, filled(0x01)) {
+		t.Fatal("read after the mutation published must hit")
 	}
 }
 
 func TestInvalidateSlot(t *testing.T) {
 	p := New(64, bs)
-	p.Install(3, 0, filled(0x01), true)
+	p.Install(3, 0, filled(0x01), false)
 	p.Install(3, 1, filled(0x02), false)
 	p.Install(4, 0, filled(0x03), false)
 	p.InvalidateSlot(3)
@@ -216,9 +150,6 @@ func TestInvalidateSlot(t *testing.T) {
 	}
 	if !p.Read(4, 0, dst, 0) {
 		t.Fatal("other slots must survive invalidation")
-	}
-	if p.DirtyCount() != 0 {
-		t.Fatal("invalidation must release dirty accounting")
 	}
 }
 
@@ -264,61 +195,4 @@ func TestOptimisticReadHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// fakeTarget counts FlushPass invocations and clears the pool's dirty
-// frames the way core's drain would.
-type fakeTarget struct {
-	pool   *Pool
-	passes int
-}
-
-func (ft *fakeTarget) FlushPass(ctx *sim.Ctx) FlushResult {
-	ft.passes++
-	var drained int64
-	for _, slot := range ft.pool.DirtySlots() {
-		for _, d := range ft.pool.CollectDirty(slot) {
-			if ft.pool.MarkClean(d) {
-				drained++
-			}
-		}
-	}
-	return FlushResult{Drained: drained, DirtyAfter: ft.pool.DirtyCount()}
-}
-
-func TestFlusherIntervalTrigger(t *testing.T) {
-	p := New(64, bs)
-	ft := &fakeTarget{pool: p}
-	fl := NewFlusher(ft, p, 1000, 1<<40, sim.NewCtx(99, 0))
-	if fl.MaybeRun(999) {
-		t.Fatal("must not fire before the interval")
-	}
-	if !fl.MaybeRun(1000) {
-		t.Fatal("must fire at the interval")
-	}
-	if ft.passes != 1 {
-		t.Fatalf("passes=%d, want 1", ft.passes)
-	}
-}
-
-func TestFlusherWatermarkTrigger(t *testing.T) {
-	p := New(64, bs)
-	ft := &fakeTarget{pool: p}
-	fl := NewFlusher(ft, p, 1<<40, 2, sim.NewCtx(99, 0))
-	p.Install(0, 0, filled(1), true)
-	if fl.MaybeRun(0) {
-		t.Fatal("below watermark, frozen clock: must not fire")
-	}
-	p.Install(0, 1, filled(2), true)
-	// Virtual time never advances (the ZeroCosts/torture regime) — the
-	// watermark alone must trigger the drain.
-	if !fl.MaybeRun(0) {
-		t.Fatal("at watermark the flusher must fire even at now=0")
-	}
-	if p.DirtyCount() != 0 {
-		t.Fatal("pass must have drained the pool")
-	}
-	if fl.Drained() != 2 {
-		t.Fatalf("Drained=%d, want 2", fl.Drained())
-	}
 }

@@ -8,10 +8,9 @@ import (
 	"mgsp/internal/sim"
 )
 
-func cacheOpts(frames int, writeBack bool) Options {
+func cacheOpts(frames int) Options {
 	o := DefaultOptions()
 	o.CacheFrames = frames
-	o.WriteBack = writeBack
 	return o
 }
 
@@ -31,24 +30,13 @@ func TestCacheOptionValidation(t *testing.T) {
 	if _, err := New(dev, bad); err == nil {
 		t.Fatal("negative CacheFrames must be rejected")
 	}
-	bad = DefaultOptions()
-	bad.WriteBack = true
-	if _, err := New(dev, bad); err == nil {
-		t.Fatal("WriteBack without CacheFrames must be rejected")
-	}
-	bad = DefaultOptions()
-	bad.CacheFrames = 8
-	bad.FlushInterval = -5
-	if _, err := New(dev, bad); err == nil {
-		t.Fatal("negative FlushInterval must be rejected")
-	}
 }
 
 // TestCacheReadHitContent checks the basic hit path: a read that fills a
 // frame, a second read served from it, and content equality throughout —
 // including after a committed overwrite (frame coherence via patchFrames).
 func TestCacheReadHitContent(t *testing.T) {
-	fs, ctx := newTestFS(cacheOpts(64, false))
+	fs, ctx := newTestFS(cacheOpts(64))
 	h, err := fs.Create(ctx, "f")
 	if err != nil {
 		t.Fatal(err)
@@ -106,144 +94,10 @@ func TestCacheReadStepUp(t *testing.T) {
 		}
 		return ctx.Now() - t0
 	}
-	cached := read(cacheOpts(64, false))
+	cached := read(cacheOpts(64))
 	uncached := read(DefaultOptions())
 	if cached >= uncached {
 		t.Fatalf("cached reads (%d ns) not cheaper than uncached (%d ns)", cached, uncached)
-	}
-}
-
-// TestWriteBackReadYourWrites: an acked buffered write must be visible to a
-// subsequent read before any drain happened.
-func TestWriteBackReadYourWrites(t *testing.T) {
-	fs, ctx := newTestFS(cacheOpts(1024, true))
-	h, err := fs.Create(ctx, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed three blocks (direct commits; installs frames).
-	for b := int64(0); b < 3; b++ {
-		if _, err := h.WriteAt(ctx, page(byte(b)), b*LeafSpan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Overwrite block 1 — with a framed block and no size change this
-	// buffers in DRAM.
-	if _, err := h.WriteAt(ctx, page(0x77), LeafSpan); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Stats().BufferedWrites.Load() == 0 {
-		t.Fatal("overwrite of a framed block must take the buffered path")
-	}
-	got := make([]byte, LeafSpan)
-	if _, err := h.ReadAt(ctx, got, LeafSpan); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, page(0x77)) {
-		t.Fatal("read did not observe the acked buffered write")
-	}
-	// A multi-block read spanning the dirty block must also see it (the
-	// read drains first).
-	wide := make([]byte, 3*LeafSpan)
-	if _, err := h.ReadAt(ctx, wide, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wide[LeafSpan:2*LeafSpan], page(0x77)) {
-		t.Fatal("multi-block read missed buffered data")
-	}
-}
-
-// TestWriteBackFsyncDrains: Fsync is the durability point — afterwards no
-// dirty frames remain and the data is on media (visible after remount).
-func TestWriteBackFsyncDrains(t *testing.T) {
-	dev := nvm.New(64<<20, sim.ZeroCosts())
-	fs := MustNew(dev, cacheOpts(1024, true))
-	ctx := sim.NewCtx(0, 1)
-	h, err := fs.Create(ctx, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteAt(ctx, page(0x01), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteAt(ctx, page(0x99), 0); err != nil { // buffered
-		t.Fatal(err)
-	}
-	if err := h.Fsync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if n := fs.Cache().DirtyCount(); n != 0 {
-		t.Fatalf("dirty frames after Fsync: %d", n)
-	}
-	if fs.Cache().Stats().FlushBatches == 0 {
-		t.Fatal("Fsync drain must count a flush batch")
-	}
-	// Remount: the drained content must be durable, entirely from the
-	// shadow log — the new FS starts with an empty pool.
-	rctx := sim.NewCtx(1, 1)
-	fs2, err := Mount(rctx, dev, cacheOpts(1024, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := fs2.Open(rctx, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, LeafSpan)
-	if _, err := h2.ReadAt(rctx, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, page(0x99)) {
-		t.Fatal("fsynced buffered write not durable across remount")
-	}
-}
-
-// TestWriteBackWACeiling is the satellite CI property: write-back batching
-// must not regress write amplification — the steady-state overwrite WA
-// stays at or below the 2.0 bound the uncached system guarantees (Table II
-// allows 2x only for unaligned RMW; aligned overwrites sit near 1).
-func TestWriteBackWACeiling(t *testing.T) {
-	fs, ctx := newTestFS(cacheOpts(1024, true))
-	h, err := fs.Create(ctx, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm: create 8 blocks directly.
-	for b := int64(0); b < 8; b++ {
-		if _, err := h.WriteAt(ctx, page(byte(b)), b*LeafSpan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := fs.Obs().Snapshot()
-	buf := make([]byte, LeafSpan)
-	for i := 0; i < 200; i++ {
-		buf[0] = byte(i)
-		if _, err := h.WriteAt(ctx, buf, int64(i%8)*LeafSpan); err != nil {
-			t.Fatal(err)
-		}
-		if i%20 == 19 {
-			if err := h.Fsync(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := h.Fsync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	d := fs.Obs().Snapshot().Diff(before)
-	user := d.Values["core.user_write_bytes"]
-	if user == 0 {
-		t.Fatal("no user bytes recorded")
-	}
-	wa := d.Values["nvm.media_write_bytes"] / user
-	if wa > 2.0 {
-		t.Fatalf("write-back WA = %.3f, exceeds the 2.0 bound", wa)
-	}
-	if fs.Stats().BufferedWrites.Load() == 0 {
-		t.Fatal("phase must exercise the buffered path")
-	}
-	if fs.Cache().Stats().FlushBatches == 0 {
-		t.Fatal("phase must exercise batched drains")
 	}
 }
 
@@ -251,7 +105,7 @@ func TestWriteBackWACeiling(t *testing.T) {
 // frames — especially across pm-slot reuse (Remove frees the slot even with
 // the cache holding frames keyed by it).
 func TestCacheInvalidation(t *testing.T) {
-	fs, ctx := newTestFS(cacheOpts(64, false))
+	fs, ctx := newTestFS(cacheOpts(64))
 	h, err := fs.Create(ctx, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -313,78 +167,10 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestWriteBackSnapshotIncludesBuffered: a snapshot taken after an acked
-// buffered write must freeze that write's content.
-func TestWriteBackSnapshotIncludesBuffered(t *testing.T) {
-	fs, ctx := newTestFS(cacheOpts(1024, true))
-	h, err := fs.Create(ctx, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteAt(ctx, page(0x01), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteAt(ctx, page(0x55), 0); err != nil { // buffered
-		t.Fatal(err)
-	}
-	id, err := fs.Snapshot(ctx, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite after the snapshot; the frozen image must keep 0x55.
-	if _, err := h.WriteAt(ctx, page(0x02), 0); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := fs.OpenSnapshot(ctx, "f", id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, LeafSpan)
-	if _, err := sh.ReadAt(ctx, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, page(0x55)) {
-		t.Fatalf("snapshot image missing pre-snapshot buffered write: got %#x", got[0])
-	}
-	live := make([]byte, LeafSpan)
-	if _, err := h.ReadAt(ctx, live, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(live, page(0x02)) {
-		t.Fatal("live content wrong after snapshot")
-	}
-}
-
-// TestWriteBackFlusherRuns: with a tiny pool the dirty watermark alone
-// (virtual time frozen under ZeroCosts) must trigger background drains.
-func TestWriteBackFlusherRuns(t *testing.T) {
-	fs, ctx := newTestFS(cacheOpts(8, true))
-	h, err := fs.Create(ctx, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := int64(0); b < 4; b++ {
-		if _, err := h.WriteAt(ctx, page(byte(b)), b*LeafSpan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := h.WriteAt(ctx, page(byte(i)), int64(i%4)*LeafSpan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fs.Flusher().Passes() == 0 {
-		t.Fatal("watermark must have triggered background drain passes")
-	}
-	if fs.Flusher().Drained() == 0 {
-		t.Fatal("background passes must have drained frames")
-	}
-}
-
-// TestCacheObsMetrics: the satellite metric names must all be present in an
-// obs snapshot of a cache-enabled FS.
+// TestCacheObsMetrics: the pool's metric names must all be present in an obs
+// snapshot of a cache-enabled FS.
 func TestCacheObsMetrics(t *testing.T) {
-	fs, ctx := newTestFS(cacheOpts(64, true))
+	fs, ctx := newTestFS(cacheOpts(64))
 	h, err := fs.Create(ctx, "f")
 	if err != nil {
 		t.Fatal(err)
@@ -398,10 +184,7 @@ func TestCacheObsMetrics(t *testing.T) {
 	}
 	snap := fs.Obs().Snapshot()
 	for _, name := range []string{
-		"cache.hits", "cache.misses", "cache.evictions",
-		"cache.dirty_frames", "cache.flush_batches", "cache.read_retry",
-		"flusher.passes", "flusher.drained", "flusher.media_write_bytes",
-		"core.buffered_writes",
+		"cache.hits", "cache.misses", "cache.evictions", "cache.read_retry",
 	} {
 		if _, ok := snap.Values[name]; !ok {
 			t.Errorf("metric %q missing from obs snapshot", name)

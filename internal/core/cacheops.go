@@ -1,53 +1,14 @@
 package core
 
-// The core side of the DRAM cache tier (DESIGN.md §13): frame coherence for
-// committed writes, the write-back buffered-ack fast path, and the drain
-// machinery that turns dirty frames back into shadow-log commits. The pool
-// itself (frames, optimistic reads, eviction) lives in internal/cache; this
-// file owns everything that needs the tree, the locks, or the commit path.
-//
-// Drain lock order: flushMu → (inFlight window) → node locks → sizeMu.
-// Drains never take fs.mu — FlushPass pins files through fs.mu *before*
-// draining, and the synchronous drain points (Fsync, Close, Truncate,
-// Snapshot, multi-block reads) all sit before their callers' fs.mu/sizeMu
-// acquisitions.
-
-import (
-	"sort"
-
-	"mgsp/internal/cache"
-	"mgsp/internal/sim"
-)
-
-// flushBatchMax caps the updates per drained WriteMulti batch: one batch is
-// one failure-atomic commit (a crash tears between batches, never inside
-// one), and one metadata-log entry chain amortized over up to this many
-// frames — the write-coalescing that keeps write-back WA below the
-// write-through baseline.
-const flushBatchMax = 16
-
-// tryBufferedWrite attempts the write-back ack-from-DRAM path: a
-// single-block overwrite strictly inside the current size whose block is
-// already framed patches the frame dirty and returns true. Anything else —
-// block boundary crossing, size extension, unframed block — returns false
-// and the caller runs the ordinary direct commit (which then installs the
-// frame, so the next overwrite of the block buffers).
-func (f *file) tryBufferedWrite(p []byte, off int64) bool {
-	block := off / LeafSpan
-	end := off + int64(len(p))
-	if end > (block+1)*LeafSpan || end > f.size.Load() {
-		return false
-	}
-	return f.fs.pcache.Patch(f.pf.Slot(), block, int(off-block*LeafSpan), p, true)
-}
+// The core side of the write-through DRAM cache tier (DESIGN.md §13): frame
+// coherence for committed writes. The pool itself (frames, optimistic reads,
+// eviction) lives in internal/cache; read-miss fills live in ReadAt.
 
 // patchFrames brings cached frames up to date with a just-committed write of
-// p at off. Callers hold the op's node W locks (readers excluded) and, under
-// write-back, flushMu (drains excluded). Present frames are patched in place
-// — including dirty ones, which keep their dirty flag so any not-yet-drained
-// buffered bytes around the patch still drain (the merged content equals the
-// latest logical content either way). Absent frames are installed only for
-// fully covered blocks, warming the cache for write-then-read.
+// p at off. Callers hold the op's node W locks, so no reader can fill a frame
+// of these blocks concurrently. Present frames are patched; absent frames are
+// installed only for fully covered blocks, warming the cache for
+// write-then-read.
 func (f *file) patchFrames(p []byte, off int64) {
 	pc := f.fs.pcache
 	slot := f.pf.Slot()
@@ -66,118 +27,4 @@ func (f *file) patchFrames(p []byte, off int64) {
 			pc.Install(slot, block, buf, false)
 		}
 	}
-}
-
-// drainFile synchronously makes every dirty frame of this file durable —
-// the write-back durability points (Fsync, Close, Truncate, Snapshot,
-// multi-block reads) call it directly.
-func (f *file) drainFile(ctx *sim.Ctx) error {
-	_, err := f.drainFrames(ctx)
-	return err
-}
-
-// drainFrames drains this file's dirty frames through the shadow-log commit
-// path: collect under flushMu, sort by block, batch contiguous-run-friendly
-// groups into failure-atomic WriteMulti commits, then mark clean (version-
-// guarded: a frame re-patched mid-drain stays dirty and drains again with
-// the newer content). Holding flushMu across the commits is what makes a
-// drain safe against direct writes — they would otherwise commit newer
-// content that a stale frame buffer then overwrites.
-func (f *file) drainFrames(ctx *sim.Ctx) (int64, error) {
-	fs := f.fs
-	if fs.pcache.DirtyCount() == 0 {
-		return 0, nil
-	}
-	f.flushMu.Lock(ctx)
-	defer f.flushMu.Unlock(ctx)
-	dirty := fs.pcache.CollectDirty(f.pf.Slot())
-	if len(dirty) == 0 {
-		return 0, nil
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Block < dirty[j].Block })
-	size := f.size.Load()
-	var drained int64
-	for lo := 0; lo < len(dirty); lo += flushBatchMax {
-		batch := dirty[lo:min(lo+flushBatchMax, len(dirty))]
-		updates := make([]Update, 0, len(batch))
-		kept := make([]cache.DirtyFrame, 0, len(batch))
-		for _, d := range batch {
-			off := d.Block * LeafSpan
-			if off >= size {
-				// Wholly beyond EOF (a truncate raced the buffering): the
-				// frame holds zeros with no logical bytes behind them.
-				// Nothing to persist; unpin it from its set.
-				if fs.pcache.MarkClean(d) {
-					drained++
-				}
-				continue
-			}
-			data := d.Data
-			if end := off + int64(len(data)); end > size {
-				// Clamp to size so a drain never extends the file (bytes
-				// beyond EOF in a frame are zeros, not content) — which also
-				// keeps drains off the size-publish path entirely.
-				data = data[:size-off]
-			}
-			updates = append(updates, Update{Off: off, Data: data})
-			kept = append(kept, d)
-		}
-		if len(updates) == 0 {
-			continue
-		}
-		err := func() error {
-			// In-flight window for the checkpoint/snapshot quiesce; quiet
-			// exit — a drain donating into another background pass would
-			// self-deadlock on flushMu.
-			fs.inFlight.Add(1)
-			defer fs.opExitQuiet()
-			_, _, err := f.writeMulti(ctx, updates, false)
-			return err
-		}()
-		if err != nil {
-			return drained, err
-		}
-		for _, d := range kept {
-			if fs.pcache.MarkClean(d) {
-				drained++
-			}
-		}
-		fs.pcache.NoteFlushBatch()
-	}
-	return drained, nil
-}
-
-// FlushPass implements cache.FlushTarget: one background drain pass over
-// every file that owns dirty frames. Files are pinned through fs.mu exactly
-// like the cleaner's pass does (drains themselves never touch fs.mu); a
-// dirty slot with no live file is a frame set orphaned by a concurrent
-// remove and is simply invalidated.
-func (fs *FS) FlushPass(ctx *sim.Ctx) cache.FlushResult {
-	var res cache.FlushResult
-	for _, slot := range fs.pcache.DirtySlots() {
-		fs.mu.Lock(ctx)
-		var f *file
-		for _, cand := range fs.files {
-			if cand.pf.Slot() == slot {
-				f = cand
-				break
-			}
-		}
-		if f != nil {
-			f.refs.Add(1) // pin against concurrent close/remove
-		}
-		fs.mu.Unlock(ctx)
-		if f == nil {
-			fs.pcache.InvalidateSlot(slot)
-			continue
-		}
-		drained, err := f.drainFrames(ctx)
-		res.Drained += drained
-		fs.unrefCleaned(ctx, f)
-		if err != nil {
-			break
-		}
-	}
-	res.DirtyAfter = fs.pcache.DirtyCount()
-	return res
 }

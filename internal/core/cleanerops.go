@@ -45,16 +45,6 @@ func (fs *FS) opExit(ctx *sim.Ctx) {
 	if fs.cleaner != nil {
 		fs.cleaner.MaybeRun(ctx.Now())
 	}
-	if fs.flusher != nil {
-		fs.flusher.MaybeRun(ctx.Now())
-	}
-}
-
-// opExitQuiet leaves the in-flight window without donating to background
-// work. Used by the flusher's own drain commits: a drain donating into
-// another drain pass would self-deadlock on flushMu.
-func (fs *FS) opExitQuiet() {
-	fs.inFlight.Add(-1)
 }
 
 // touchNode stamps n and its ancestors with the current cleaner generation

@@ -40,15 +40,6 @@ func TestBatteryCacheWriteThrough(t *testing.T) {
 	})
 }
 
-func TestBatteryCacheWriteBack(t *testing.T) {
-	o := DefaultOptions()
-	o.CacheFrames = 64
-	o.WriteBack = true
-	fstest.Run(t, func(t *testing.T) vfs.FS {
-		return MustNew(nvm.New(128<<20, sim.ZeroCosts()), o)
-	})
-}
-
 func TestBatteryFixedGranularity(t *testing.T) {
 	o := DefaultOptions()
 	o.MultiGranularity = false

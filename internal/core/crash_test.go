@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
@@ -574,4 +575,87 @@ func TestCrashSweepCursorPublish(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCrashedReaderReleasesLocks: a reader that dies on the crashed-device
+// panic of a media read must not keep its MGL R locks. A writer to the same
+// block on another goroutine must then reach the dead device and panic with
+// nvm.ErrCrashed, instead of blocking forever on the leaked lock.
+func TestCrashedReaderReleasesLocks(t *testing.T) {
+	cached := DefaultOptions()
+	cached.CacheFrames = 8 // turns the lock-free read path off: misses take R locks
+	for _, tc := range []struct {
+		name string
+		opts Options
+		snap bool // read through a snapshot handle (always R-locked)
+	}{
+		{"live", cached, false},
+		{"snapshot", DefaultOptions(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := nvm.New(64<<20, sim.ZeroCosts())
+			fs := MustNew(dev, tc.opts)
+			rctx, wctx := sim.NewCtx(0, 1), sim.NewCtx(1, 2)
+			// Sub-block writes: the cache only installs fully written blocks,
+			// so the reader's probe misses and takes the locked path.
+			const off, n = 2 * LeafSpan, 512
+			rh, err := fs.Create(rctx, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rh.WriteAt(rctx, bytes.Repeat([]byte{1}, off+n), 0); err != nil {
+				t.Fatal(err)
+			}
+			wh, err := fs.Open(wctx, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rotate the writer through its metadata-log home area, so its next
+			// claim needs no cursor persist: the first media op it meets after
+			// the crash then lies behind the node lock the reader held.
+			for i := 0; i < metaAreaOpSlots; i++ {
+				if _, err := wh.WriteAt(wctx, bytes.Repeat([]byte{2}, n), off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rd := rh
+			if tc.snap {
+				id, err := fs.Snapshot(rctx, "f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rd, err = fs.OpenSnapshot(rctx, "f", id); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Crash the device from outside the file system (reads are not
+			// fail points; once crashed, every media op panics), then read:
+			// the reader dies in its media read with its R locks taken.
+			dev.ArmCrash(0, 1)
+			if r := panicOf(func() { dev.Store8(rctx, dev.Size()-8, 0) }); r != nvm.ErrCrashed {
+				t.Fatalf("crash: panic %v, want nvm.ErrCrashed", r)
+			}
+			if r := panicOf(func() { rd.ReadAt(rctx, make([]byte, n), off) }); r != nvm.ErrCrashed {
+				t.Fatalf("reader: panic %v, want nvm.ErrCrashed", r)
+			}
+			done := make(chan any, 1)
+			go func() { done <- panicOf(func() { wh.WriteAt(wctx, bytes.Repeat([]byte{3}, n), off) }) }()
+			select {
+			case r := <-done:
+				if r != nvm.ErrCrashed {
+					t.Fatalf("writer: panic %v, want nvm.ErrCrashed", r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("writer blocked: the crashed reader leaked its read locks")
+			}
+		})
+	}
+}
+
+// panicOf runs fn and returns the value it panicked with (nil if none).
+func panicOf(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
 }

@@ -24,16 +24,6 @@ const metaLogEntries = metaAreas * metaAreaSlots
 // attribution never collide with user operations.
 const cleanerWorker = 1 << 20
 
-// flusherWorker is the sim worker id of the write-back flusher's private
-// context (see internal/cache), distinct from every foreground worker and
-// from the cleaner.
-const flusherWorker = 1 << 21
-
-// defaultFlushInterval is the write-back drain cadence when Options leaves
-// FlushInterval zero: 100 µs of virtual time, a handful of foreground ops at
-// simulated NVM latencies.
-const defaultFlushInterval = 100_000
-
 // MetaBytes returns the metadata reservation MGSP needs on a device of the
 // given size: the lock-free metadata log, the checkpoint cell, plus the node
 // directory (records for every possible leaf plus interior slack).
@@ -67,12 +57,10 @@ type FS struct {
 	cleanName string       // resume cursor: next file name ...
 	cleanOff  int64        // ... and offset within it
 
-	// pcache is the volatile DRAM frame tier (nil when CacheFrames is 0);
-	// flusher is its write-back drain scheduler (nil unless WriteBack).
-	// Neither holds any persistent state: Mount always starts them empty,
-	// so recovery is cache-independent by construction (DESIGN.md §13).
-	pcache  *cache.Pool
-	flusher *cache.Flusher
+	// pcache is the volatile write-through DRAM frame tier (nil when
+	// CacheFrames is 0). It holds no persistent state: Mount always starts it
+	// empty, so recovery is cache-independent by construction (DESIGN.md §13).
+	pcache *cache.Pool
 
 	// snapSeq is the global snapshot sequence: every snapshot takes a fresh
 	// id from it, and every node record stores the value current at its
@@ -169,7 +157,7 @@ func mkFS(prov *pmfile.Provider, opts Options) *FS {
 	fs.dir.hwCell = ckptOff + ckptDirHW
 	// The optimistic read path needs MGL (per-node versions live in the MGL
 	// locks) and no DRAM cache tier (frame installs happen under R locks).
-	fs.optGate = opts.OptimisticReads && opts.Locking == LockMGL && opts.CacheFrames == 0
+	fs.optGate = opts.Locking == LockMGL && opts.CacheFrames == 0
 	fs.initObs()
 	if opts.CleanerInterval > 0 {
 		fs.dir.tracking = true
@@ -184,20 +172,6 @@ func mkFS(prov *pmfile.Provider, opts Options) *FS {
 	if opts.CacheFrames > 0 {
 		fs.pcache = cache.New(opts.CacheFrames, LeafSpan)
 		fs.pcache.Register(fs.obsReg, "cache.")
-		if opts.WriteBack {
-			interval := opts.FlushInterval
-			if interval == 0 {
-				interval = defaultFlushInterval
-			}
-			// Watermark at a quarter of the pool: the flusher fires early once
-			// enough acked data is buffered, which also keeps write-back live
-			// under frozen virtual time (sim.ZeroCosts, the torture harness).
-			watermark := int64(fs.pcache.Frames() / 4)
-			fctx := sim.NewCtx(flusherWorker, 0)
-			fctx.Tally = &sim.MediaTally{}
-			fs.flusher = cache.NewFlusher(fs, fs.pcache, interval, watermark, fctx)
-			fs.flusher.Register(fs.obsReg, "flusher.")
-		}
 	}
 	return fs
 }
@@ -251,9 +225,6 @@ func (fs *FS) Options() Options { return fs.opts }
 // Cache returns the DRAM frame pool, nil when the cache tier is disabled.
 func (fs *FS) Cache() *cache.Pool { return fs.pcache }
 
-// Flusher returns the write-back drain scheduler, nil unless WriteBack.
-func (fs *FS) Flusher() *cache.Flusher { return fs.flusher }
-
 // Consistency implements vfs.Guarantees: every MGSP operation is a
 // synchronized atomic operation (§IV-A).
 func (fs *FS) Consistency() vfs.ConsistencyLevel { return vfs.OpAtomic }
@@ -271,12 +242,6 @@ type file struct {
 	treeMu sim.Mutex // tree structure growth, record/log creation
 	sizeMu sim.Mutex // size extension
 	size   atomic.Int64
-
-	// flushMu serializes write-back drains against direct (media-committing)
-	// writes of this file, so a drain can never overwrite a newer committed
-	// block with stale frame content. Only taken when the flusher exists;
-	// ordered after fs.mu release and before node locks / sizeMu.
-	flushMu sim.Mutex
 
 	flock sim.RWMutex // used in LockFile mode
 
@@ -364,8 +329,7 @@ func (fs *FS) Create(ctx *sim.Ctx, name string) (vfs.File, error) {
 		f.discardTree(ctx)
 		if fs.pcache != nil {
 			// The file keeps its pm slot but loses all content; cached frames
-			// (including unsynced write-back data — Create destroys it at the
-			// file level anyway) no longer describe it.
+			// no longer describe it.
 			fs.pcache.InvalidateSlot(f.pf.Slot())
 		}
 		if _, err := fs.prov.Create(ctx, name); err != nil {
@@ -417,8 +381,7 @@ func (fs *FS) Remove(ctx *sim.Ctx, name string) error {
 	if fs.pcache != nil {
 		// prov.Remove frees the pm slot immediately (even with open handles),
 		// and Create reuses the lowest free slot — stale frames keyed by this
-		// slot would leak into the next file. Dirty frames dropped here were
-		// acked-but-unsynced write-back data of a now-removed file.
+		// slot would leak into the next file.
 		fs.pcache.InvalidateSlot(f.pf.Slot())
 	}
 	return fs.prov.Remove(ctx, name)
@@ -495,13 +458,6 @@ func (h *handle) Fsync(ctx *sim.Ctx) error {
 	}
 	fs := h.f.fs
 	start := ctx.Now()
-	if fs.flusher != nil {
-		// Fsync is the write-back durability point: drain this file's dirty
-		// frames through the shadow-log commit path before fencing.
-		if err := h.f.drainFile(ctx); err != nil {
-			return err
-		}
-	}
 	fs.dev.Fence(ctx)
 	dur := ctx.Now() - start
 	fs.hFsync.Observe(dur)
@@ -518,13 +474,6 @@ func (h *handle) Close(ctx *sim.Ctx) error {
 	h.closed = true
 	f := h.f
 	ctx.Advance(f.fs.costs.Syscall)
-	if f.fs.flusher != nil {
-		// Close is a durability point too (lastRefGone writes the tree back);
-		// drain before fs.mu — drains take node locks, never fs.mu.
-		if err := f.drainFile(ctx); err != nil {
-			return err
-		}
-	}
 	f.fs.mu.Lock(ctx)
 	defer f.fs.mu.Unlock(ctx)
 	if f.refs.Add(-1) == 0 {
@@ -558,14 +507,6 @@ func (h *handle) Truncate(ctx *sim.Ctx, size int64) error {
 	// enters from discardTree/writeback below pair up harmlessly.
 	f.writerEnter()
 	defer f.writerExit()
-	if f.fs.flusher != nil {
-		// Make buffered write-back data durable before resizing: a shrink
-		// must not lose acked writes below the new size. Drain takes node
-		// locks and therefore runs before sizeMu (write-path lock order).
-		if err := f.drainFile(ctx); err != nil {
-			return err
-		}
-	}
 	f.sizeMu.Lock(ctx)
 	defer f.sizeMu.Unlock(ctx)
 	old := f.size.Load()
@@ -601,7 +542,7 @@ func (h *handle) Truncate(ctx *sim.Ctx, size int64) error {
 	if f.fs.pcache != nil {
 		// Frames covering vacated blocks are stale (a later regrowth must
 		// read zeros); dropping the whole slot is the simple safe choice for
-		// this rare control-plane op. All dirty data was drained above.
+		// this rare control-plane op.
 		f.fs.pcache.InvalidateSlot(f.pf.Slot())
 	}
 	return nil

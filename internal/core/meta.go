@@ -271,7 +271,7 @@ func (m *metaLog) off(i int) int64 { return m.base + int64(i)*entrySize }
 
 // homeArea maps a worker ID to its home area. Foreground workers 0..63 get
 // perfectly disjoint homes (the hash is a bijection on the low six bits);
-// sparse background IDs (cleaner, flusher, harness setup) spread via the
+// sparse background IDs (the cleaner, harness setup) spread via the
 // xor-folds instead of all aliasing area 0.
 func (m *metaLog) homeArea(worker int) int {
 	return sim.WorkerHash(worker) % m.areas

@@ -106,10 +106,8 @@ func TestMGLDisjointWritersTryFailBudget(t *testing.T) {
 // block ever reads as an interleaving of two writers, and the final state
 // of every block must be exactly one writer's fill.
 func TestMGLSharedPrefixSerialization(t *testing.T) {
-	opts := DefaultOptions()
-	opts.OptimisticReads = true
 	dev := nvm.New(128<<20, sim.ZeroCosts())
-	fs := MustNew(dev, opts)
+	fs := MustNew(dev, DefaultOptions())
 
 	setup := sim.NewCtx(100, 1)
 	f0, _ := fs.Create(setup, "f")

@@ -20,15 +20,13 @@
 // (cmd/mgspvet, DESIGN.md §15), which checks every blocking acquisition in
 // this package and its importers against it interprocedurally:
 //
-//mgsp:lock-order FS.snapAdmin < FS.mu < file.sizeMu
-//mgsp:lock-order FS.mu < file.snapMu
-//mgsp:lock-order file.flushMu < file.treeMu < file.snapMu
-//mgsp:lock-order file.flushMu < file.sizeMu
-//mgsp:lock-order file.flock < file.sizeMu
-//
 // node.lock self-nests by protocol: lockOp and lockCoarse always descend the
 // radix tree parent-before-child, so intra-class nesting cannot cycle.
 //
+//mgsp:lock-order FS.snapAdmin < FS.mu < file.sizeMu
+//mgsp:lock-order FS.mu < file.snapMu
+//mgsp:lock-order file.treeMu < file.snapMu
+//mgsp:lock-order file.flock < file.sizeMu
 //mgsp:lock-order-self node.lock
 package core
 
@@ -61,7 +59,9 @@ type Options struct {
 	// with read-modify-write for partial blocks — the plain "shadow log"
 	// baseline of Figure 13.
 	MultiGranularity bool
-	// Locking selects file-level or multiple-granularity locking.
+	// Locking selects file-level or multiple-granularity locking. Under
+	// LockMGL with CacheFrames zero, reads first try the lock-free
+	// version-validated path of optread.go and fall back to R locks.
 	Locking LockMode
 	// GreedyLocking enables the single-lock fast path when the file has one
 	// reference (§III-C2, "greedy locking").
@@ -72,15 +72,6 @@ type Options struct {
 	LazyIntentionCleaning bool
 	// MinSearchTree enables the cached minimum search subtree (§III-B1).
 	MinSearchTree bool
-	// OptimisticReads serves reads lock-free when possible: the reader
-	// registers in a per-file Dekker gate, walks the tree without taking MGL
-	// locks, copies, then validates that no writer entered the file and that
-	// every visited node's version is unchanged and even — bailing to the
-	// ordinary locked path otherwise. Active only under LockMGL with the
-	// DRAM cache tier disabled (frame installs need the R locks); writers
-	// drain registered readers before mutating, so correctness never depends
-	// on the validation alone. See optread.go.
-	OptimisticReads bool
 	// CleanerInterval is the virtual-time period (nanoseconds) between
 	// background cleaner passes: cold shadow subtrees are written back, their
 	// log blocks reclaimed, and a checkpoint record persisted so Mount skips
@@ -96,25 +87,12 @@ type Options struct {
 	CleanerBudget int64
 	// CacheFrames enables the DRAM page-cache tier (internal/cache, DESIGN.md
 	// §13) with at least that many 4 KiB frames (rounded up to the pool's set
-	// geometry). Reads hit frames via the optimistic latch-free protocol
-	// instead of the media; committed writes keep frames coherent. Zero
+	// geometry). The cache is write-through: reads hit frames via the
+	// optimistic latch-free protocol instead of the media, and every write
+	// commits through the shadow log before it patches frames. Zero
 	// disables the cache — every ablation and recovery path is bit-identical
 	// to the uncached system. Negative values are invalid.
 	CacheFrames int
-	// WriteBack relaxes single-block overwrites to cache-buffered
-	// acknowledgements: the write lands in a dirty frame and becomes durable
-	// when the background flusher drains it through WriteMulti, at Fsync, or
-	// at Close — the explicit-sync contract mmap/msync applications already
-	// live with. Crash consistency is unchanged (drains commit through the
-	// shadow log; a torn drain is indistinguishable from unbatched writes),
-	// only the durability point of unsynced writes moves. Requires
-	// CacheFrames > 0. False keeps strict write-through.
-	WriteBack bool
-	// FlushInterval is the virtual-time period (nanoseconds) between
-	// write-back flusher passes; the flusher also fires early when a quarter
-	// of the pool is dirty. Zero means a 100 µs default; negative values are
-	// invalid. Ignored unless WriteBack is set.
-	FlushInterval int64
 }
 
 // DefaultOptions returns the full MGSP configuration evaluated in the paper.
@@ -129,7 +107,6 @@ func DefaultOptions() Options {
 		GreedyLocking:         true,
 		LazyIntentionCleaning: true,
 		MinSearchTree:         true,
-		OptimisticReads:       true,
 	}
 }
 
@@ -148,12 +125,6 @@ func (o Options) validate() error {
 	}
 	if o.CacheFrames < 0 {
 		return fmt.Errorf("core: CacheFrames %d must not be negative", o.CacheFrames)
-	}
-	if o.FlushInterval < 0 {
-		return fmt.Errorf("core: FlushInterval %d must not be negative", o.FlushInterval)
-	}
-	if o.WriteBack && o.CacheFrames == 0 {
-		return fmt.Errorf("core: WriteBack requires CacheFrames > 0")
 	}
 	return nil
 }

@@ -41,23 +41,16 @@ func (h *handle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 
 	// Cache tier (DESIGN.md §13). Single-block reads try the optimistic
 	// latch-free frame probe first: hit means one DRAM copy instead of a tree
-	// walk plus media reads. A multi-block read under write-back must drain
-	// first — dirty frames may hold acked data newer than the media the tree
-	// walk below would read.
+	// walk plus media reads. Frames only mirror committed content, so a miss
+	// (absent or contended frame) falls through to the tree walk below.
 	block := off / LeafSpan
 	single := fs.pcache != nil && end <= (block+1)*LeafSpan
-	if single {
-		if fs.pcache.Read(f.pf.Slot(), block, p[:n], int(off-block*LeafSpan)) {
-			ctx.Advance(fs.costs.IndexStep + fs.costs.DRAMCopyCost(n))
-			dur := ctx.Now() - began
-			fs.hRead.Observe(dur)
-			fs.trace.Record(ctx.ID, obs.OpRead, f.pf.Slot(), off, int64(n), dur)
-			return n, nil
-		}
-	} else if fs.flusher != nil && fs.pcache.DirtyCount() > 0 {
-		if err := f.drainFile(ctx); err != nil {
-			return 0, err
-		}
+	if single && fs.pcache.Read(f.pf.Slot(), block, p[:n], int(off-block*LeafSpan)) {
+		ctx.Advance(fs.costs.IndexStep + fs.costs.DRAMCopyCost(n))
+		dur := ctx.Now() - began
+		fs.hRead.Observe(dur)
+		fs.trace.Record(ctx.ID, obs.OpRead, f.pf.Slot(), off, int64(n), dur)
+		return n, nil
 	}
 
 	root := f.root.Load()
@@ -73,23 +66,27 @@ func (h *handle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		return n, nil
 	}
 
-	start := f.searchStart(ctx, off, end)
-	segs := f.readCover(ctx, start, off, end, nil)
-	locks := f.lockOp(ctx, start, segs, false)
-	if single {
-		// Miss fill: resolve the whole block while the R locks pin its
-		// content, install it clean, and serve the request from the copy.
-		// Install refuses to overwrite a present dirty frame, so a buffered
-		// write that slipped in between the probe and here wins.
-		blockLo := block * LeafSpan
-		buf := make([]byte, LeafSpan)
-		f.resolveData(ctx, blockLo, blockLo+LeafSpan, buf)
-		copy(p[:n], buf[off-blockLo:])
-		fs.pcache.Install(f.pf.Slot(), block, buf, false)
-	} else {
-		f.resolveData(ctx, off, end, p[:n])
-	}
-	f.release(ctx, locks)
+	// The closure scopes the R locks: its deferred release also runs when a
+	// crash-injection panic unwinds out of a media read, so a dead reader can
+	// never leave a node read-locked for the surviving writers.
+	func() {
+		start := f.searchStart(ctx, off, end)
+		segs := f.readCover(ctx, start, off, end, nil)
+		locks := f.lockOp(ctx, start, segs, false)
+		defer f.release(ctx, locks)
+		if single {
+			// Miss fill: resolve the whole block while the R locks pin its
+			// content (writers patch frames under W), install it, and serve
+			// the request from the copy.
+			blockLo := block * LeafSpan
+			buf := make([]byte, LeafSpan)
+			f.resolveData(ctx, blockLo, blockLo+LeafSpan, buf)
+			copy(p[:n], buf[off-blockLo:])
+			fs.pcache.Install(f.pf.Slot(), block, buf, false)
+		} else {
+			f.resolveData(ctx, off, end, p[:n])
+		}
+	}()
 	f.updateMinSearch(off, end)
 	dur := ctx.Now() - began
 	fs.hRead.Observe(dur)

@@ -73,12 +73,16 @@ func (h *snapHandle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	}
 	// Same MGL read locking as live reads: snapshot readers run concurrently
 	// with each other and with writers outside the locked ranges.
+	// Deferred release, as in live ReadAt: a crash panic out of a media read
+	// must not leak the R locks.
 	began := ctx.Now()
-	start := f.searchStart(ctx, off, end)
-	segs := f.readCover(ctx, start, off, end, nil)
-	locks := f.lockOp(ctx, start, segs, false)
-	f.snapWalk(ctx, root, h.s.id, off, end, 0, 0, p[:n], off)
-	f.release(ctx, locks)
+	func() {
+		start := f.searchStart(ctx, off, end)
+		segs := f.readCover(ctx, start, off, end, nil)
+		locks := f.lockOp(ctx, start, segs, false)
+		defer f.release(ctx, locks)
+		f.snapWalk(ctx, root, h.s.id, off, end, 0, 0, p[:n], off)
+	}()
 	f.fs.trace.Record(ctx.ID, obs.OpSnapRead, f.pf.Slot(), off, int64(n), ctx.Now()-began)
 	return n, nil
 }

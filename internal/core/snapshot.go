@@ -99,18 +99,6 @@ func (fs *FS) Snapshot(ctx *sim.Ctx, name string) (SnapID, error) {
 	f.refs.Add(1)
 	fs.mu.Unlock(ctx)
 
-	if fs.flusher != nil {
-		// Every write acked before this snapshot call must be in the frozen
-		// image; buffered write-back data only exists in DRAM frames until
-		// drained. Drain first — writes buffered after this point are
-		// concurrent with the snapshot and may legitimately land on either
-		// side of the freeze.
-		if err := f.drainFile(ctx); err != nil {
-			fs.unrefCleaned(ctx, f)
-			return 0, err
-		}
-	}
-
 	id := fs.snapSeq.Add(1)
 	entry := fs.mlog.claim(ctx, ctx.ID)
 	// Publish copy-on-write mode first, then wait out operations that may

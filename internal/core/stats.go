@@ -88,10 +88,6 @@ type Stats struct {
 	SnapshotCoWRewrites obs.Counter
 	// SnapshotReads counts reads served through snapshot handles.
 	SnapshotReads obs.Counter
-	// BufferedWrites counts write-back WriteAt calls acknowledged from a
-	// dirty cache frame without touching the media (drained later by the
-	// flusher). Zero unless Options.WriteBack is enabled.
-	BufferedWrites obs.Counter
 }
 
 // register publishes every counter into r under the "core." prefix.
@@ -119,7 +115,6 @@ func (s *Stats) register(r *obs.Registry) {
 		{"core.snapshot_pins", &s.SnapshotPins},
 		{"core.snapshot_cow_rewrites", &s.SnapshotCoWRewrites},
 		{"core.snapshot_reads", &s.SnapshotReads},
-		{"core.buffered_writes", &s.BufferedWrites},
 	} {
 		r.RegisterCounter(c.name, c.c)
 	}

@@ -48,20 +48,6 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	fs.stats.Writes.Add(ctx.ID, 1)
 	fs.stats.UserWriteBytes.Add(ctx.ID, int64(len(p)))
 	began := ctx.Now()
-	// Write-back fast path (DESIGN.md §13): a single-block overwrite whose
-	// block is already framed lands in the dirty frame and is acknowledged at
-	// DRAM cost; the flusher drains it through the shadow-log commit path
-	// later (or Fsync does, synchronously). Overwrites only — size-extending
-	// writes always commit directly so f.size/metadata stay shadow-log-owned.
-	if fs.flusher != nil && f.tryBufferedWrite(p, off) {
-		ctx.Advance(fs.costs.IndexStep + fs.costs.DRAMCopyCost(len(p)))
-		fs.stats.BufferedWrites.Add(1)
-		dur := ctx.Now() - began
-		fs.hWrite.Observe(dur)
-		fs.trace.Record(ctx.ID, obs.OpWrite, f.pf.Slot(), off, int64(len(p)), dur)
-		fs.flusher.MaybeRun(ctx.Now())
-		return len(p), nil
-	}
 	// Enter the in-flight window (checkpoint quiesce) first; the deferred
 	// exit runs after the lock release below (LIFO), so the cleaner's
 	// piggyback pass never starts while this op holds node locks.
@@ -70,14 +56,6 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// Drain optimistic readers before mutating anything they might copy.
 	f.writerEnter()
 	defer f.writerExit()
-	if fs.flusher != nil {
-		// Direct writes exclude drains for the whole op (frame patches below
-		// must not interleave with a drain collecting stale content). LIFO
-		// with the defers above: locks release, flushMu releases, then opExit
-		// donates — never into a pass that would self-deadlock here.
-		f.flushMu.Lock(ctx)
-		defer f.flushMu.Unlock(ctx)
-	}
 	end := off + int64(len(p))
 
 	// Make room: file capacity (underlying fallocate+mmap) and tree height.

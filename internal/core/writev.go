@@ -42,14 +42,8 @@ func (h *handle) WriteMulti(ctx *sim.Ctx, updates []Update) error {
 	// (LIFO defers), see WriteAt.
 	fs.inFlight.Add(1)
 	defer fs.opExit(ctx)
-	if fs.flusher != nil {
-		// Same drain exclusion as WriteAt's direct path.
-		f.flushMu.Lock(ctx)
-		defer f.flushMu.Unlock(ctx)
-	}
-	var lo, maxEnd int64
-	var err error
-	if lo, maxEnd, err = f.writeMulti(ctx, updates, true); err != nil {
+	lo, maxEnd, err := f.writeMulti(ctx, updates)
+	if err != nil {
 		return err
 	}
 	f.updateMinSearch(lo, maxEnd)
@@ -59,15 +53,10 @@ func (h *handle) WriteMulti(ctx *sim.Ctx, updates []Update) error {
 	return nil
 }
 
-// writeMulti is the shared multi-range commit body, also the write-back
-// drain's door into the shadow-log protocol (internal/cache batches dirty
-// frames here — DESIGN.md §13). acct distinguishes user calls (frame
-// patching; the wrapper above did the stats) from drains (content came FROM
-// the frames, nothing to patch; drain media traffic is attributed via the
-// flusher's ctx.Tally, not the user counters). Callers own the in-flight
-// window and — under write-back — flushMu; this function manages neither.
-// Returns the op's extent [lo, maxEnd) for the caller's bookkeeping.
-func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int64, error) {
+// writeMulti is the multi-range commit body of WriteMulti. The caller owns
+// the in-flight window and the stats. Returns the op's extent [lo, maxEnd)
+// for the caller's bookkeeping.
+func (f *file) writeMulti(ctx *sim.Ctx, updates []Update) (int64, int64, error) {
 	fs := f.fs
 	// Drain optimistic readers before mutating anything they might copy.
 	f.writerEnter()
@@ -189,7 +178,7 @@ func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int
 		}()
 	}
 	fs.mlog.retire(ctx, entry)
-	if acct && fs.pcache != nil {
+	if fs.pcache != nil {
 		// Committed: bring overlapping frames up to date while the W locks
 		// still exclude readers (release is deferred).
 		for _, u := range updates {

@@ -31,7 +31,7 @@ type ShardedCounter struct {
 }
 
 // shardOf mixes sparse worker IDs (foreground 0..N-1, cleaner 1<<20,
-// flusher 1<<21, harness setup IDs) into a cell index. Same finalizer as
+// harness setup IDs) into a cell index. Same finalizer as
 // sim.WorkerHash, inlined to keep obs dependency-free.
 func shardOf(worker int) int {
 	h := uint32(worker)

@@ -311,7 +311,7 @@ func (t *Timeline) Reserve(ctx *Ctx, dur int64) {
 
 // WorkerHash mixes a worker ID into a well-spread non-negative value. Worker
 // IDs are not dense — foreground workers count 0..N-1 but background actors
-// use sparse power-of-two IDs (cleaner 1<<20, flusher 1<<21) — so a plain
+// use sparse high IDs (the cleaner's 1<<20, harness setup IDs) — so a plain
 // modulus would collide them all onto slot 0. The xor-folds pull high bits
 // down before the multiplicative scramble; for IDs 0..63 the low six bits
 // remain a bijection (the folds are identity there and the multiplier is

@@ -51,7 +51,7 @@ type state struct {
 }
 
 // liveVio is a violation detected while the workload is still running — the
-// flusher-mode read oracle (torn frame copies, read-your-writes misses).
+// cache-mode read oracle (torn frame copies, read-your-writes misses).
 // Run folds them into Result.Violations with the usual repro line.
 type liveVio struct {
 	kind   string
@@ -215,8 +215,8 @@ func (res *Result) addViolation(cfg Config, kind string, region int, detail stri
 // these flags.
 func (cfg Config) ReproLine() string {
 	return fmt.Sprintf(
-		"go test ./internal/torture -run 'TestTortureReplay$' -torture.seed=%d -torture.writers=%d -torture.ops=%d -torture.crash=%d -torture.torn=%t -torture.flusher=%t",
-		cfg.Seed, cfg.Writers, cfg.Ops, cfg.CrashAt, cfg.InjectTorn, cfg.Flusher)
+		"go test ./internal/torture -run 'TestTortureReplay$' -torture.seed=%d -torture.writers=%d -torture.ops=%d -torture.crash=%d -torture.torn=%t -torture.cache=%t",
+		cfg.Seed, cfg.Writers, cfg.Ops, cfg.CrashAt, cfg.InjectTorn, cfg.Cache)
 }
 
 // stampTable maps every stamp a run can produce back to its op, for torn-
@@ -245,16 +245,6 @@ func (st *state) verify(cfg Config, res *Result, ctx *sim.Ctx, fs *core.FS, h vf
 		return
 	}
 
-	// A crashed write-back run weakens per-region admissibility: a WriteAt
-	// can return with its data only in a DRAM frame, so the crash legally
-	// erases acked-but-undrained writes. The recovered region may then show
-	// any earlier registered op (media holds whatever the last drain or
-	// direct commit landed), or the initial zeros (nothing ever drained).
-	// Completed-run verification, WriteMulti atomicity, and the snapshot
-	// checks stay strict — and the in-run read oracle (read-your-writes on
-	// private regions) polices the window the relaxation opens.
-	relaxed := res.Crashed && cfg.Opts.WriteBack
-
 	// Per-region op-atomicity: the region must hold the stamp of exactly one
 	// admissible op (or the initial zeros when no op committed to it).
 	matched := make([]*opRec, cfg.totalRegions())
@@ -272,13 +262,13 @@ func (st *state) verify(cfg Config, res *Result, ctx *sim.Ctx, fs *core.FS, h vf
 				anyCompleted = true
 			}
 		}
-		if !anyCompleted || relaxed {
+		if !anyCompleted {
 			cands = append(cands, make([]byte, cfg.RegionSize))
 			candOps = append(candOps, nil)
 		}
 		for _, e := range recs {
 			superseded := false
-			if !relaxed && !e.span.InFlight() {
+			if !e.span.InFlight() {
 				for _, o := range recs {
 					if o != e && !o.span.InFlight() && e.span.Before(o.span) {
 						superseded = true

@@ -92,20 +92,19 @@ func ServerSweep(cfg ServerConfig, samples int, sweepSeed int64) (*SweepResult, 
 	return res, nil
 }
 
-// Replay re-executes one (seed, writers, ops, crash, torn, flusher) point in
+// Replay re-executes one (seed, writers, ops, crash, torn, cache) point in
 // serial mode. Serial runs are bit-identical functions of these parameters:
-// the same media ops happen in the same order — background drains included,
-// since the flusher runs on donated foreground goroutines — the device tears
-// the same 8 bytes, and the oracle reaches the same verdict, which is what
-// makes a Violation.Repro line a real reproducer.
-func Replay(seed int64, writers, ops int, crashAt int64, injectTorn, flusher bool) (*Result, error) {
+// the same media ops happen in the same order, the device tears the same 8
+// bytes, and the oracle reaches the same verdict, which is what makes a
+// Violation.Repro line a real reproducer.
+func Replay(seed int64, writers, ops int, crashAt int64, injectTorn, cache bool) (*Result, error) {
 	return Run(Config{
 		Writers:    writers,
 		Ops:        ops,
 		Seed:       seed,
 		CrashAt:    crashAt,
 		InjectTorn: injectTorn,
-		Flusher:    flusher,
+		Cache:      cache,
 		Serial:     true,
 	})
 }

@@ -59,19 +59,19 @@ type Config struct {
 
 	// Op mix: roughly one in every N ops (0 = default, negative disables).
 	// The defaults are part of the replay contract — a repro line encodes
-	// only (seed, writers, ops, crash, torn, flusher), so every run uses the
+	// only (seed, writers, ops, crash, torn, cache), so every run uses the
 	// same mix.
 	FsyncEvery int // default 8
 	SnapEvery  int // default 10
 	MultiEvery int // default 6
-	ReadEvery  int // flusher mode: cache-side ops (reads + private writes), default 3
+	ReadEvery  int // cache mode: cache-side ops (reads + private writes), default 3
 
-	// Flusher arms the cache/write-back path: the FS mounts with a small
-	// DRAM frame pool in write-back mode, traces gain ReadAt ops (racing the
-	// optimistic frame reads against buffered writes and background drains),
-	// and each writer gets a private region checked live for
-	// read-your-writes. Crash indices then also sample the flusher mid-drain.
-	Flusher bool
+	// Cache arms the DRAM frame tier: the FS mounts with a small
+	// write-through frame pool, traces gain ReadAt ops (racing the optimistic
+	// frame reads, miss fills and evictions against committed-write
+	// patches), and each writer gets a private region checked live for
+	// read-your-writes.
+	Cache bool
 
 	// InjectTorn makes writer 0's last op deliberately violate op atomicity
 	// (it writes half of a reserved region while the oracle is told the
@@ -114,14 +114,10 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Opts.Degree == 0 {
 		cfg.Opts = core.DefaultOptions()
 	}
-	if cfg.Flusher && cfg.Opts.CacheFrames == 0 {
-		// A deliberately tiny pool: evictions and all-dirty backpressure are
-		// part of what the sweep exercises. Under the frozen ZeroCosts clock
-		// the interval never fires, so drains come from the dirty watermark
-		// (Frames/4) — racing the foreground exactly where crashes hurt.
+	if cfg.Cache && cfg.Opts.CacheFrames == 0 {
+		// A deliberately tiny pool (one set): evictions race every fill and
+		// patch the sweep issues.
 		cfg.Opts.CacheFrames = 8
-		cfg.Opts.WriteBack = true
-		cfg.Opts.FlushInterval = 1
 	}
 	if cfg.DevSize == 0 {
 		cfg.DevSize = 4 << 20
@@ -143,23 +139,22 @@ func (cfg Config) check() error {
 }
 
 // fileSize covers every oracle region: the shared ones, the reserved
-// torn-injection region, and (in flusher mode) one private region per writer.
+// torn-injection region, and (in cache mode) one private region per writer.
 func (cfg Config) fileSize() int64 { return int64(cfg.totalRegions()) * cfg.RegionSize }
 
 // totalRegions includes the reserved region — and the per-writer private
-// regions in flusher mode — so the oracle scans them too.
+// regions in cache mode — so the oracle scans them too.
 func (cfg Config) totalRegions() int {
 	n := cfg.Regions + 1
-	if cfg.Flusher {
+	if cfg.Cache {
 		n += cfg.Writers
 	}
 	return n
 }
 
-// privateRegion is writer w's read-your-writes region (flusher mode): nobody
+// privateRegion is writer w's read-your-writes region (cache mode): nobody
 // else writes it, so a read by w must observe exactly w's last acked write —
-// buffered in a DRAM frame or already drained, the distinction must be
-// invisible.
+// served from a frame or from media, the distinction must be invisible.
 func (cfg Config) privateRegion(w int) int { return cfg.Regions + 1 + w }
 
 type opKind uint8
@@ -214,8 +209,8 @@ func traces(cfg Config) [][]op {
 				// violation depends only on whether this op ran, not on the
 				// interleaving.
 				ops = append(ops, op{kind: opWrite, regions: []int{cfg.Regions}, torn: true})
-			case cfg.Flusher && cfg.ReadEvery > 0 && rng.Intn(cfg.ReadEvery) == 0:
-				// Cache-side ops. The && short-circuits, so non-flusher runs
+			case cfg.Cache && cfg.ReadEvery > 0 && rng.Intn(cfg.ReadEvery) == 0:
+				// Cache-side ops. The && short-circuits, so non-cache runs
 				// draw the exact same rng stream as before — the replay
 				// contract for existing repro lines is untouched.
 				switch rng.Intn(3) {
@@ -526,7 +521,7 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 			return
 		}
 		st.sched.End(e.span, ops())
-		if r.cfg.Flusher && o.regions[0] == r.cfg.privateRegion(w) {
+		if r.cfg.Cache && o.regions[0] == r.cfg.privateRegion(w) {
 			r.lastPriv[w] = stamp(w, i, o.regions[0])
 		}
 
@@ -605,7 +600,7 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 		case reg > r.cfg.Regions:
 			// Private region: only this writer touches it, and the read is
 			// program-ordered after the write, so acked content must be
-			// visible — whether it sits in a dirty frame or already drained.
+			// visible — whether a frame or the media serves it.
 			if want := r.lastPriv[w]; first != want {
 				st.noteVio("read-your-writes", reg, fmt.Sprintf(
 					"writer %d op %d read stamp %#x from its private region, want %#x",

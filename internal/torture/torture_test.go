@@ -15,7 +15,7 @@ var (
 	replayOps     = flag.Int("torture.ops", 25, "replay: ops per writer")
 	replayCrash   = flag.Int64("torture.crash", 0, "replay: media-op crash index (0 = run to completion)")
 	replayTorn    = flag.Bool("torture.torn", false, "replay: inject the deliberate torn write")
-	replayFlusher = flag.Bool("torture.flusher", false, "replay: run with the write-back cache and flusher armed")
+	replayCache   = flag.Bool("torture.cache", false, "replay: run with the write-through frame cache armed")
 )
 
 func failViolations(t *testing.T, res *Result) {
@@ -35,7 +35,7 @@ func failViolations(t *testing.T, res *Result) {
 // It is the target of every repro line: a violation found anywhere replays
 // here bit-identically and fails the test with the same report.
 func TestTortureReplay(t *testing.T) {
-	res, err := Replay(*replaySeed, *replayWriters, *replayOps, *replayCrash, *replayTorn, *replayFlusher)
+	res, err := Replay(*replaySeed, *replayWriters, *replayOps, *replayCrash, *replayTorn, *replayCache)
 	if err != nil {
 		t.Fatal(err)
 	}
