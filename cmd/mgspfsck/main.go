@@ -2,11 +2,12 @@
 // workload on a simulated device (optionally snapshotting the file partway
 // through so copy-on-write pins are in play), injects a crash at a chosen
 // media-op index, remounts the file system through the §III-D recovery
-// protocol, and reports what survived — including the recovery time the
-// paper quantifies. After recovery it audits the block allocator: every
-// allocated block must be reachable from a file extent, a live shadow log,
-// or a snapshot pin. Leaked (orphaned) or double-accounted blocks make the
-// command exit nonzero.
+// protocol, and reports what survived — the recovery time, the media bytes
+// Mount wrote, and the shadow-log blocks it kept for the next close to write
+// back. After recovery it audits the block allocator: every allocated block
+// must be reachable from a file extent, a kept shadow log, or a snapshot
+// pin. Leaked (orphaned) or double-accounted blocks make the command exit
+// nonzero.
 //
 //	mgspfsck -file-mib 64 -ops 2000 -crash-after 5000
 //
@@ -185,9 +186,9 @@ func check(dev *nvm.Device, opts core.Options, name string, stdout, stderr io.Wr
 	if err != nil {
 		return fail(stderr, fmt.Errorf("recovery failed: %w", err))
 	}
-	back := dev.Stats().MediaWriteBytes.Load() - wrote
-	fmt.Fprintf(stdout, "recovery: %.2f ms virtual time, %.1f MiB written back\n",
-		float64(rctx.Now())/1e6, float64(back)/(1<<20))
+	wrote = dev.Stats().MediaWriteBytes.Load() - wrote
+	fmt.Fprintf(stdout, "recovery: %.2f ms virtual time, %d media bytes written, %d log blocks kept\n",
+		float64(rctx.Now())/1e6, wrote, fs2.LogBlocks())
 	st := fs2.Stats()
 	fmt.Fprintf(stdout, "recovery replay: %d entries replayed, %d skipped as pre-checkpoint\n",
 		st.EntriesReplayed.Load(), st.EntriesSkipped.Load())
@@ -207,7 +208,8 @@ func check(dev *nvm.Device, opts core.Options, name string, stdout, stderr io.Wr
 	}
 
 	// Leaked-block audit: every allocated block must be reachable from a
-	// file extent, a live shadow log, or a snapshot pin.
+	// file extent, a live shadow log (Mount keeps the logs until the next
+	// close writes them back), or a snapshot pin.
 	rep := fs2.AuditBlocks()
 	fmt.Fprintf(stdout, "block audit: %d allocated, %d reachable\n", rep.Allocated, rep.Reachable)
 	if !rep.Clean() {

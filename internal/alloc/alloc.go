@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"mgsp/internal/sim"
 )
@@ -52,8 +53,11 @@ type Allocator struct {
 	free      int64
 	hint      int64
 	bitmap    []uint64 // 1 = allocated
-	refs      []uint16 // per-block reference count; nonzero iff bitmap bit set
-	costs     *sim.Costs
+	// refs is the per-block reference count, nonzero iff the bitmap bit is
+	// set. Written under mu (or by the single-threaded recovery scan);
+	// atomic because RefCount reads it without mu.
+	refs  []atomic.Uint32
+	costs *sim.Costs
 
 	shards [allocShards]allocShard
 }
@@ -71,7 +75,7 @@ func New(start, size, blockSize int64, costs *sim.Costs) *Allocator {
 		nblocks:   n,
 		free:      n,
 		bitmap:    make([]uint64, (n+63)/64),
-		refs:      make([]uint16, n),
+		refs:      make([]atomic.Uint32, n),
 		costs:     costs,
 	}
 }
@@ -256,7 +260,7 @@ func (a *Allocator) scan(lo, hi, n int64) (int64, bool) {
 func (a *Allocator) take(b, n int64) int64 {
 	for i := b; i < b+n; i++ {
 		a.set(i)
-		a.refs[i] = 1
+		a.refs[i].Store(1)
 	}
 	a.free -= n
 	a.hint = b + n
@@ -283,11 +287,10 @@ func (a *Allocator) Free(ctx *sim.Ctx, off int64, n int64) {
 // unref drops one reference on block i; callers hold a.mu. off is the caller's
 // extent offset, for the panic message only.
 func (a *Allocator) unref(i, off int64) {
-	if !a.test(i) || a.refs[i] == 0 {
+	if !a.test(i) || a.refs[i].Load() == 0 {
 		panic(fmt.Sprintf("alloc: double free of block %d (off %d)", i, off))
 	}
-	a.refs[i]--
-	if a.refs[i] == 0 {
+	if a.refs[i].Add(^uint32(0)) == 0 {
 		a.clear(i)
 		a.free++
 	}
@@ -303,17 +306,20 @@ func (a *Allocator) Ref(ctx *sim.Ctx, off, n int64) {
 		if !a.test(i) {
 			panic(fmt.Sprintf("alloc: ref of unallocated block %d (off %d)", i, off))
 		}
-		if a.refs[i] == ^uint16(0) {
+		if a.refs[i].Load() == maxRefs {
 			panic(fmt.Sprintf("alloc: refcount overflow on block %d (off %d)", i, off))
 		}
-		a.refs[i]++
+		a.refs[i].Add(1)
 	}
 }
+
+// maxRefs bounds a block's reference count.
+const maxRefs = 1<<16 - 1
 
 // RefCount returns the reference count of the block containing off (0 when
 // free). Racy by nature; exact only under the caller's own synchronization.
 func (a *Allocator) RefCount(off int64) int {
-	return int(a.refs[a.blockOf(off)])
+	return int(a.refs[a.blockOf(off)].Load())
 }
 
 // Extent names one contiguous run of blocks for batch release: the device
@@ -352,7 +358,7 @@ func (a *Allocator) MarkAllocated(off, n int64) error {
 			return fmt.Errorf("alloc: block %d already allocated during recovery", i)
 		}
 		a.set(i)
-		a.refs[i] = 1
+		a.refs[i].Store(1)
 	}
 	a.free -= n
 	return nil
@@ -366,11 +372,11 @@ func (a *Allocator) MarkRef(off, n int64) {
 	b := a.blockOf(off)
 	for i := b; i < b+n; i++ {
 		if a.test(i) {
-			a.refs[i]++
+			a.refs[i].Add(1)
 			continue
 		}
 		a.set(i)
-		a.refs[i] = 1
+		a.refs[i].Store(1)
 		a.free--
 	}
 }
@@ -387,7 +393,7 @@ func (a *Allocator) Reset() {
 		a.bitmap[i] = 0
 	}
 	for i := range a.refs {
-		a.refs[i] = 0
+		a.refs[i].Store(0)
 	}
 	a.free = a.nblocks
 	a.hint = 0
@@ -399,7 +405,7 @@ func (a *Allocator) Reset() {
 func (a *Allocator) Range(fn func(off int64, refs int) bool) {
 	for i := int64(0); i < a.nblocks; i++ {
 		if a.test(i) {
-			if !fn(a.start+i*a.blockSize, int(a.refs[i])) {
+			if !fn(a.start+i*a.blockSize, int(a.refs[i].Load())) {
 				return
 			}
 		}

@@ -30,7 +30,7 @@ func Cleaner(sc Scale) (*Table, error) {
 		t.Cells[i][5] = r.bgMiB
 	}
 	t.Notes = append(t.Notes, "log-blocks: 4 KiB shadow-log blocks held at steady state (the cleaner bounds this)")
-	t.Notes = append(t.Notes, "recovery-ms: virtual Mount time after a crash (checkpoint skips pre-epoch replay and write-back)")
+	t.Notes = append(t.Notes, "recovery-ms: virtual Mount time after a crash (the checkpoint bounds the directory scan and skips pre-epoch replay; Mount writes no logs back)")
 	return t, nil
 }
 

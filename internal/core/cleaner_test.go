@@ -168,7 +168,7 @@ func TestCheckpointEpochSkipsStaleEntries(t *testing.T) {
 	}
 	i := fs.mlog.claim(ctx, 0)
 	fs.mlog.commit(ctx, i, f.pf.Slot(), 0, 4096, f.size.Load(),
-		[]bitmapSlot{{recIdx: leaf.recIdx, old: uint16(leaf.word.Load()), new: 0}},
+		[]bitmapSlot{{recIdx: leaf.recIdx.Load(), old: uint16(leaf.word.Load()), new: 0}},
 		0xC1EA, 0, 1, 0)
 
 	dev.Recover()
@@ -193,7 +193,7 @@ func findRecordedLeaf(n *node) *node {
 		return nil
 	}
 	if n.leaf {
-		if n.recIdx >= 0 && n.word.Load() != 0 {
+		if n.recIdx.Load() >= 0 && n.word.Load() != 0 {
 			return n
 		}
 		return nil

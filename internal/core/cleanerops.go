@@ -399,13 +399,15 @@ func (f *file) releaseLocked(ctx *sim.Ctx, held []lockedNode) {
 }
 
 // reclaimSubtree retires every record and frees every log at and below n:
-// records are cleared and volatile words zeroed bottom-up, then one fence,
-// then the blocks return to the allocator in bulk — so a crash mid-reclaim
-// never leaves a live record pointing at a reusable log block. Returns the
-// freed block count.
+// records are cleared and volatile words zeroed in retireRecords' crash-safe
+// order, then one fence, then the blocks return to the allocator in bulk —
+// so a crash mid-reclaim never leaves a live record pointing at a reusable
+// log block. Returns the freed block count.
 func (f *file) reclaimSubtree(ctx *sim.Ctx, n *node) int64 {
 	var exts []alloc.Extent
-	f.gatherReclaim(ctx, n, &exts)
+	f.retireRecords(ctx, n, func(n *node) {
+		exts = append(exts, alloc.Extent{Off: n.logOff, N: n.span / LeafSpan})
+	})
 	if len(exts) == 0 {
 		return 0
 	}
@@ -416,24 +418,6 @@ func (f *file) reclaimSubtree(ctx *sim.Ctx, n *node) int64 {
 	}
 	f.fs.prov.Alloc().FreeBulk(ctx, exts)
 	return blocks
-}
-
-func (f *file) gatherReclaim(ctx *sim.Ctx, n *node, exts *[]alloc.Extent) {
-	for i := range n.children {
-		if c := n.children[i].Load(); c != nil {
-			f.gatherReclaim(ctx, c, exts)
-		}
-	}
-	if n.recIdx >= 0 {
-		f.fs.dir.clear(ctx, n.recIdx)
-		n.recIdx = -1
-	}
-	if n.logOff != 0 {
-		*exts = append(*exts, alloc.Extent{Off: n.logOff, N: n.span / LeafSpan})
-		n.logOff = 0
-	}
-	n.word.Store(0)
-	n.stale.Store(false)
 }
 
 // quiesceSpins bounds the checkpoint quiesce; with cooperative scheduling

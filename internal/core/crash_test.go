@@ -10,6 +10,7 @@ import (
 
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
+	"mgsp/internal/vfs"
 )
 
 // crashRun executes setup, arms the device at fail point `fail`, runs op,
@@ -174,6 +175,142 @@ func TestCrashSweepCoarseWrite(t *testing.T) {
 	}
 }
 
+// closeScripts build trees whose write-back at Close must be crash-safe.
+// Each writes through h and mirrors every write into ref.
+var closeScripts = []struct {
+	name string
+	run  func(ctx *sim.Ctx, h vfs.File, ref []byte)
+}{
+	// Fine leaf logs under valid coarse logs: clearing a leaf's record before
+	// its ancestors' would fall back to their older bytes.
+	{"fine-under-coarse", func(ctx *sim.Ctx, h vfs.File, ref []byte) {
+		put(ctx, h, ref, 0x11, 0, 512<<10)
+		put(ctx, h, ref, 0x22, 64<<10, 256<<10)
+		for i := 0; i < 40; i++ {
+			put(ctx, h, ref, byte(0x30+i), int64(i*37%120)*4096+100, 1500)
+		}
+	}},
+	// A coarse write over fine logs leaves their valid bits stale below an
+	// existing=0 cut, and a later fine write pushes the cut one level down
+	// (lazy cleaning): clearing a cut before its descendants would expose
+	// the stale bits.
+	{"stale-subtree", func(ctx *sim.Ctx, h vfs.File, ref []byte) {
+		put(ctx, h, ref, 0x11, 0, 512<<10)
+		for i := 0; i < 16; i++ {
+			put(ctx, h, ref, byte(0x40+i), 64<<10+int64(i)*4096+512, 1024)
+		}
+		put(ctx, h, ref, 0x55, 64<<10, 64<<10)
+		put(ctx, h, ref, 0x66, 64<<10+300, 700)
+	}},
+}
+
+// put writes n bytes of pat at off through h and into ref.
+func put(ctx *sim.Ctx, h vfs.File, ref []byte, pat byte, off int64, n int) {
+	p := bytes.Repeat([]byte{pat}, n)
+	h.WriteAt(ctx, p, off)
+	copy(ref[off:], p)
+}
+
+// TestCrashSweepCloseWriteback crashes the last Close of a file at every
+// media op of its write-back and record release. The after-mount variant
+// closes a file whose tree Mount kept after a plug-pull — the first
+// write-back after recovery.
+func TestCrashSweepCloseWriteback(t *testing.T) {
+	opts := smallTreeOpts()
+	for _, sc := range closeScripts {
+		t.Run(sc.name+"/live", func(t *testing.T) {
+			sweepRelease(t, opts, sc.run, false, func(ctx *sim.Ctx, fs *FS, h vfs.File) { h.Close(ctx) })
+		})
+		t.Run(sc.name+"/after-mount", func(t *testing.T) {
+			sweepRelease(t, opts, sc.run, true, func(ctx *sim.Ctx, fs *FS, h vfs.File) { h.Close(ctx) })
+		})
+	}
+}
+
+// TestCrashSweepCleanerReclaim crashes two cleaner passes — which write the
+// cold tree back into the file and retire its records the way Close does —
+// at every media op.
+func TestCrashSweepCleanerReclaim(t *testing.T) {
+	opts := cleanerOpts()
+	for _, sc := range closeScripts {
+		t.Run(sc.name, func(t *testing.T) {
+			sweepRelease(t, opts, sc.run, false, func(ctx *sim.Ctx, fs *FS, h vfs.File) {
+				fs.CleanPass(ctx, 0)
+				fs.CleanPass(ctx, 0)
+			})
+		})
+	}
+}
+
+// sweepRelease builds the script's tree, then runs release — an operation
+// that writes the whole tree back and releases it — crashed at every media
+// op in turn. Every write completed before the release, so recovery must
+// return exactly their content, with every block accounted for. With
+// afterMount, the tree release works on is the one Mount kept after a
+// plug-pull.
+func sweepRelease(t *testing.T, opts Options, script func(*sim.Ctx, vfs.File, []byte), afterMount bool,
+	release func(*sim.Ctx, *FS, vfs.File)) {
+	t.Helper()
+	const size = 512 << 10
+	for fail := int64(0); ; fail++ {
+		dev := nvm.New(4<<20, sim.ZeroCosts())
+		fs := MustNew(dev, opts)
+		ctx := sim.NewCtx(0, 1)
+		h, _ := fs.Create(ctx, "f")
+		ref := make([]byte, size)
+		script(ctx, h, ref)
+		if afterMount {
+			dev.DropVolatile()
+			var err error
+			if fs, err = Mount(ctx, dev, opts); err != nil {
+				t.Fatal(err)
+			}
+			if fs.LogBlocks() == 0 {
+				t.Fatal("mount kept no logs to write back")
+			}
+			h, _ = fs.Open(ctx, "f")
+		}
+		dev.ArmCrash(fail, fail*7+3)
+		r := panicOf(func() { release(ctx, fs, h) })
+		dev.DisarmCrash()
+		if r != nil && r != nvm.ErrCrashed {
+			t.Fatalf("fail=%d: %v", fail, r)
+		}
+		if r != nil {
+			dev.Recover()
+			var err error
+			if fs, err = Mount(ctx, dev, opts); err != nil {
+				t.Fatalf("fail=%d: Mount: %v", fail, err)
+			}
+		} else if n := fs.LogBlocks(); n != 0 {
+			t.Fatalf("%d log blocks left after a complete release", n)
+		}
+		if rep := fs.AuditBlocks(); !rep.Clean() {
+			t.Fatalf("fail=%d: audit: %d orphans, %d unallocated", fail, len(rep.Orphans), len(rep.Unallocated))
+		}
+		if got := readBack(t, ctx, fs, "f", size); !bytes.Equal(got, ref) {
+			i := 0
+			for got[i] == ref[i] {
+				i++
+			}
+			bad := 0
+			for j := range got {
+				if got[j] != ref[j] {
+					bad++
+				}
+			}
+			t.Fatalf("fail=%d: %d wrong bytes after recovery, first at %d (got %#x want %#x)",
+				fail, bad, i, got[i], ref[i])
+		}
+		if r == nil {
+			if fail == 0 {
+				t.Fatal("sweep never crashed")
+			}
+			return
+		}
+	}
+}
+
 // TestCrashRandomizedWorkload runs a scripted random workload, crashes at a
 // random media-op index, and checks the recovered file matches the
 // reference at some op boundary >= the last completed op (operation-level
@@ -264,80 +401,164 @@ func TestCrashRandomizedWorkload(t *testing.T) {
 	}
 }
 
-// TestRecoveryIdempotent: mounting twice yields the same content.
-func TestRecoveryIdempotent(t *testing.T) {
+// TestCrashDuringRecovery: crash Mount itself at every media op it issues,
+// remounting the half-recovered image each time, until a Mount completes.
+// Mount only has media ops to crash when the image holds interrupted work
+// (replayed bitmap words, swept metadata-log slots), so the image comes from
+// a crash inside an overwrite, at each of its media ops in turn. Whatever
+// the crash inside Mount, the final content must be what an uninterrupted
+// Mount of the same image recovers, and the overwrite must stay atomic.
+func TestCrashDuringRecovery(t *testing.T) {
 	opts := smallTreeOpts()
-	dev := nvm.New(128<<20, sim.ZeroCosts())
-	fs := MustNew(dev, opts)
-	ctx := sim.NewCtx(0, 1)
-	f, _ := fs.Create(ctx, "f")
-	f.WriteAt(ctx, bytes.Repeat([]byte{9}, 100000), 0)
-	dev.ArmCrash(40, 99)
-	func() {
-		defer func() { recover() }()
-		for i := 0; i < 100; i++ {
-			f.WriteAt(ctx, bytes.Repeat([]byte{byte(i)}, 3000), int64(i*900))
+	const size = 50000
+	old := bytes.Repeat([]byte{0xE1}, size)
+	upd := bytes.Repeat([]byte{0x1E}, 8192)
+	fired := 0
+	for wfail := int64(0); ; wfail++ {
+		dev := nvm.New(16<<20, sim.ZeroCosts())
+		fs := MustNew(dev, opts)
+		ctx := sim.NewCtx(0, 1)
+		f, _ := fs.Create(ctx, "f")
+		f.WriteAt(ctx, old, 0)
+		f.WriteAt(ctx, old[:8192], 8192)
+		dev.ArmCrash(wfail, wfail)
+		r := panicOf(func() { f.WriteAt(ctx, upd, 8192) })
+		dev.DisarmCrash()
+		if r == nil {
+			break
 		}
-	}()
-	dev.Recover()
-	fs2, err := Mount(ctx, dev, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, _ := fs2.Open(ctx, "f")
-	a := make([]byte, 100000)
-	f2.ReadAt(ctx, a, 0)
+		if r != nvm.ErrCrashed {
+			t.Fatalf("wfail=%d: %v", wfail, r)
+		}
+		dev.Recover()
 
-	dev.DropVolatile()
-	fs3, err := Mount(ctx, dev, opts)
-	if err != nil {
-		t.Fatalf("second mount: %v", err)
+		// The reference: an uninterrupted Mount of a copy of the image.
+		var img bytes.Buffer
+		if err := dev.Save(&img); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := nvm.LoadImage(&img, func(n int64) *nvm.Device { return nvm.New(n, sim.ZeroCosts()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		rfs, err := Mount(ctx, ref, opts)
+		if err != nil {
+			t.Fatalf("wfail=%d: reference mount: %v", wfail, err)
+		}
+		want := readBack(t, ctx, rfs, "f", size)
+		if !bytes.Equal(want, old) {
+			patched := append([]byte{}, old...)
+			copy(patched[8192:], upd)
+			if !bytes.Equal(want, patched) {
+				t.Fatalf("wfail=%d: reference mount recovered a torn overwrite", wfail)
+			}
+		}
+
+		for mfail := int64(0); ; mfail++ {
+			dev.ArmCrash(mfail, mfail)
+			r := panicOf(func() {
+				if _, err := Mount(ctx, dev, opts); err != nil {
+					panic(fmt.Sprintf("mount error: %v", err))
+				}
+			})
+			dev.DisarmCrash()
+			if r == nil {
+				break
+			}
+			if r != nvm.ErrCrashed {
+				t.Fatalf("wfail=%d mfail=%d: %v", wfail, mfail, r)
+			}
+			fired++
+			dev.Recover()
+		}
+		fs2, err := Mount(ctx, dev, opts)
+		if err != nil {
+			t.Fatalf("wfail=%d: final mount: %v", wfail, err)
+		}
+		if got := readBack(t, ctx, fs2, "f", size); !bytes.Equal(got, want) {
+			t.Fatalf("wfail=%d: content after crashes during recovery differs from an uninterrupted recovery", wfail)
+		}
 	}
-	f3, _ := fs3.Open(ctx, "f")
-	b := make([]byte, 100000)
-	f3.ReadAt(ctx, b, 0)
-	if !bytes.Equal(a, b) {
-		t.Fatal("recovery is not idempotent")
+	if fired == 0 {
+		t.Fatal("no fail point fired inside Mount")
 	}
 }
 
-// TestCrashDuringRecoveryWriteback: crash during Mount's write-back, then
-// mount again — content must still be correct (write-back is idempotent).
-func TestCrashDuringRecovery(t *testing.T) {
+// TestRecoveryIdempotent: Mount keeps the shadow logs, so a second crash
+// before any Close finds them still live. Recovering again must give
+// byte-identical content, every kept log block must stay accounted for, and
+// the first Close must then write them all back.
+func TestRecoveryIdempotent(t *testing.T) {
 	opts := smallTreeOpts()
-	dev := nvm.New(128<<20, sim.ZeroCosts())
+	const size = 256 << 10
+	dev := nvm.New(16<<20, sim.ZeroCosts())
 	fs := MustNew(dev, opts)
 	ctx := sim.NewCtx(0, 1)
 	f, _ := fs.Create(ctx, "f")
-	want := bytes.Repeat([]byte{0xE1}, 50000)
-	f.WriteAt(ctx, want, 0)
-	f.WriteAt(ctx, want[:8192], 8192)
+	f.WriteAt(ctx, bytes.Repeat([]byte{0x10}, size), 0)
+	dev.ArmCrash(400, 7)
+	r := panicOf(func() {
+		for i := 0; ; i++ {
+			f.WriteAt(ctx, bytes.Repeat([]byte{byte(i)}, 1500+i*97%5000), int64(i*7919%(size-8192)))
+		}
+	})
+	if r != nvm.ErrCrashed {
+		t.Fatalf("workload: panic %v, want nvm.ErrCrashed", r)
+	}
+	dev.DisarmCrash()
+	dev.Recover()
 
+	// remount recovers the durable image, audits it, and reads the file back
+	// through a handle it leaves open, so no Close writes anything back.
+	remount := func(step string) (vfs.File, []byte, int64) {
+		t.Helper()
+		fs, err := Mount(ctx, dev, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		kept := fs.LogBlocks()
+		rep := fs.AuditBlocks()
+		if !rep.Clean() {
+			t.Fatalf("%s: audit: %d orphans, %d unallocated", step, len(rep.Orphans), len(rep.Unallocated))
+		}
+		if want := fs.prov.BackingPages() + kept; rep.Reachable != want {
+			t.Fatalf("%s: audit reached %d blocks, want %d file + %d log", step,
+				rep.Reachable, fs.prov.BackingPages(), kept)
+		}
+		h, err := fs.Open(ctx, "f")
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		got := make([]byte, size)
+		if n, err := h.ReadAt(ctx, got, 0); n != size || err != nil {
+			t.Fatalf("%s: read back %d bytes: %v", step, n, err)
+		}
+		return h, got, kept
+	}
+	_, first, kept1 := remount("first mount")
+	if kept1 == 0 {
+		t.Fatal("first mount kept no log blocks")
+	}
+	dev.DropVolatile() // the second crash: no Close ran
+	h, second, kept2 := remount("second mount")
+	if !bytes.Equal(first, second) {
+		t.Fatal("second mount recovered different content")
+	}
+	if kept1 != kept2 {
+		t.Fatalf("kept %d log blocks at the first mount, %d at the second", kept1, kept2)
+	}
+
+	// The last close writes the kept logs back; a later crash finds none.
+	if err := h.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
 	dev.DropVolatile()
-	for fail := int64(1); fail < 200; fail += 13 {
-		dev.ArmCrash(fail, fail)
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrCrashed {
-					panic(r)
-				}
-			}()
-			if _, err := Mount(ctx, dev, opts); err != nil {
-				panic(fmt.Sprintf("mount error: %v", err))
-			}
-		}()
-		dev.DisarmCrash()
-		dev.Recover()
+	_, third, kept3 := remount("mount after close")
+	if !bytes.Equal(first, third) {
+		t.Fatal("write-back at close changed the content")
 	}
-	fs4, err := Mount(ctx, dev, opts)
-	if err != nil {
-		t.Fatalf("final mount: %v", err)
-	}
-	f4, _ := fs4.Open(ctx, "f")
-	got := make([]byte, 50000)
-	f4.ReadAt(ctx, got, 0)
-	if !bytes.Equal(got, want) {
-		t.Fatal("content corrupted by crash during recovery")
+	if kept3 != 0 {
+		t.Fatalf("%d log blocks survived the last close", kept3)
 	}
 }
 

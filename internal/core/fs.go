@@ -402,21 +402,54 @@ func (f *file) discardTree(ctx *sim.Ctx) {
 	f.releaseAllIntents(ctx)
 }
 
+// releaseSubtree retires every record at and below n and frees each log as
+// soon as its own record is gone.
 func (f *file) releaseSubtree(ctx *sim.Ctx, n *node) {
+	f.retireRecords(ctx, n, func(n *node) {
+		f.fs.prov.Alloc().Free(ctx, n.logOff, n.span/LeafSpan)
+	})
+}
+
+// retireRecords clears the directory record of every node at and below n,
+// passing each node that owns a log to release after its record is cleared.
+// Callers have already copied the subtree's live content to its fallback
+// (the file, or a valid ancestor's log) and fenced, and Store8 persists in
+// call order, so the order of the clears is what a crash can observe. It
+// must never expose bytes the fallback has superseded:
+//
+//   - a node whose existing bit is set is transparent: its descendants'
+//     valid bits are live and override its own log, so it goes first — the
+//     other way round a cleared child would fall back to this node's older
+//     log instead of the fallback;
+//   - a node whose existing bit is clear is a cut: it hides descendants
+//     whose valid bits are stale (lazy cleaning), so it goes last — cleared
+//     first, recovery would make it transparent and serve those bits.
+func (f *file) retireRecords(ctx *sim.Ctx, n *node, release func(*node)) {
+	cut := !n.leaf && !n.existing()
+	if !cut {
+		f.retireRecord(ctx, n, release)
+	}
 	for i := range n.children {
 		if c := n.children[i].Load(); c != nil {
-			f.releaseSubtree(ctx, c)
+			f.retireRecords(ctx, c, release)
 		}
 	}
+	if cut {
+		f.retireRecord(ctx, n, release)
+	}
+}
+
+func (f *file) retireRecord(ctx *sim.Ctx, n *node, release func(*node)) {
+	if idx := n.recIdx.Load(); idx >= 0 {
+		f.fs.dir.clear(ctx, idx)
+		n.recIdx.Store(-1)
+	}
 	if n.logOff != 0 {
-		f.fs.prov.Alloc().Free(ctx, n.logOff, n.span/LeafSpan)
+		release(n)
 		n.logOff = 0
 	}
-	if n.recIdx >= 0 {
-		f.fs.dir.clear(ctx, n.recIdx)
-		n.recIdx = -1
-	}
 	n.word.Store(0)
+	n.stale.Store(false)
 }
 
 // releaseAllIntents drops every worker's sticky intention locks (file close).
@@ -466,7 +499,8 @@ func (h *handle) Fsync(ctx *sim.Ctx) error {
 }
 
 // Close implements vfs.File. When the last handle closes, all shadow logs
-// are written back into the file and the metadata is released (§III-D).
+// are written back into the file and the metadata is released (§III-D) —
+// including the logs of a tree Mount kept after a crash.
 func (h *handle) Close(ctx *sim.Ctx) error {
 	if h.closed {
 		return vfs.ErrClosed

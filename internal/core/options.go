@@ -76,9 +76,9 @@ type Options struct {
 	// background cleaner passes: cold shadow subtrees are written back, their
 	// log blocks reclaimed, and a checkpoint record persisted so Mount skips
 	// replay of pre-checkpoint metadata entries (see internal/cleaner and
-	// DESIGN.md §7). Zero disables the cleaner — the paper's behavior, where
-	// logs are only written back at close and during recovery — leaving all
-	// existing ablations bit-identical. Negative values are invalid.
+	// DESIGN.md §7). Zero disables the cleaner — logs are then only written
+	// back at a file's last close — leaving all existing ablations
+	// bit-identical. Negative values are invalid.
 	CleanerInterval int64
 	// CleanerBudget caps the log blocks one cleaner pass may reclaim; the
 	// next pass resumes where the previous one stopped. Zero means an

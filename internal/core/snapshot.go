@@ -267,7 +267,7 @@ func (f *file) findSnapLocked(id uint64) *snapshot {
 // directory/allocator mutexes.
 func (f *file) cowPin(ctx *sim.Ctx, n *node) {
 	m := f.maxLiveSnap.Load()
-	if m == 0 || n.recIdx < 0 || n.snapSeq.Load() >= m {
+	if m == 0 || n.recIdx.Load() < 0 || n.snapSeq.Load() >= m {
 		return
 	}
 	if n.birth.Load() >= m {

@@ -23,7 +23,9 @@ type node struct {
 	parent   *node
 	children []atomic.Pointer[node] // nil for leaves; slots filled on demand
 
-	recIdx int64 // node directory record index (-1 until persisted)
+	// recIdx is the node directory record index (-1 until persisted). Atomic:
+	// ensureRecord's fast path reads it without treeMu.
+	recIdx atomic.Int64
 	logOff int64 // device offset of the private log; 0 = not allocated
 
 	// word is the volatile mirror of the persistent bitmap word:
@@ -118,8 +120,8 @@ func (f *file) ensureTree(ctx *sim.Ctx, capacity int64) {
 // one exists (hint updates on nodes not yet in the directory stay volatile;
 // recovery over-approximates existing bits, which is safe).
 func (f *file) persistWordIfRecorded(ctx *sim.Ctx, n *node) {
-	if n.recIdx >= 0 {
-		f.fs.dir.setWord(ctx, n.recIdx, n.word.Load())
+	if idx := n.recIdx.Load(); idx >= 0 {
+		f.fs.dir.setWord(ctx, idx, n.word.Load())
 	}
 }
 
@@ -138,7 +140,8 @@ func subtreeHasLogs(n *node) bool {
 // newNode builds a volatile node; its persistent record is created lazily by
 // ensureRecord when the node first participates in a committed operation.
 func (f *file) newNode(ctx *sim.Ctx, parent *node, span, idx int64) *node {
-	n := &node{span: span, idx: idx, parent: parent, leaf: span == LeafSpan, recIdx: -1}
+	n := &node{span: span, idx: idx, parent: parent, leaf: span == LeafSpan}
+	n.recIdx.Store(-1)
 	n.birth.Store(f.fs.snapSeq.Load())
 	if !n.leaf {
 		n.children = make([]atomic.Pointer[node], f.fs.opts.Degree)
@@ -168,18 +171,18 @@ func (f *file) ensureChild(ctx *sim.Ctx, n *node, i int64) *node {
 // sequence: any already-live snapshot predates every bit this record will
 // ever commit, so snapshot readers skip it.
 func (f *file) ensureRecord(ctx *sim.Ctx, n *node) {
-	if n.recIdx >= 0 {
+	if n.recIdx.Load() >= 0 {
 		return
 	}
 	f.treeMu.Lock(ctx)
 	defer f.treeMu.Unlock(ctx)
-	if n.recIdx >= 0 {
+	if n.recIdx.Load() >= 0 {
 		return
 	}
 	birth := f.fs.snapSeq.Load()
 	n.birth.Store(birth)
-	n.recIdx = f.fs.dir.create(ctx, packTag(f.pf.Slot(), f.spanExp(n.span), n.idx),
-		n.logOff, n.word.Load(), birth, 0)
+	n.recIdx.Store(f.fs.dir.create(ctx, packTag(f.pf.Slot(), f.spanExp(n.span), n.idx),
+		n.logOff, n.word.Load(), birth, 0))
 }
 
 // spanExp returns e such that span == LeafSpan * Degree^e.
@@ -208,7 +211,7 @@ func (f *file) ensureLog(ctx *sim.Ctx, n *node) error {
 	if err != nil {
 		return err
 	}
-	f.fs.dir.setLogOff(ctx, n.recIdx, off)
+	f.fs.dir.setLogOff(ctx, n.recIdx.Load(), off)
 	n.logOff = off
 	return nil
 }

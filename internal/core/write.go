@@ -150,10 +150,11 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 	}
 	slots := make([]bitmapSlot, len(changes))
 	for i, c := range changes {
-		if c.n.recIdx < 0 {
+		idx := c.n.recIdx.Load()
+		if idx < 0 {
 			panic("core: committing a node without a record")
 		}
-		slots[i] = bitmapSlot{recIdx: c.n.recIdx, old: uint16(c.old), new: uint16(c.new)}
+		slots[i] = bitmapSlot{recIdx: idx, old: uint16(c.old), new: uint16(c.new)}
 	}
 	chainLen := (len(slots) + entrySlots - 1) / entrySlots
 	if chainLen == 0 {
@@ -187,7 +188,7 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 
 	for _, c := range changes {
 		c.n.word.Store(c.new)
-		fs.dir.setWord(ctx, c.n.recIdx, c.new)
+		fs.dir.setWord(ctx, c.n.recIdx.Load(), c.new)
 		if c.markStale {
 			c.n.stale.Store(true)
 		}
@@ -208,13 +209,14 @@ func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize i
 	fs := f.fs
 	slots := make([]snapSlot, 0, len(changes)+2)
 	for _, c := range changes {
-		if c.n.recIdx < 0 {
+		idx := c.n.recIdx.Load()
+		if idx < 0 {
 			panic("core: committing a node without a record")
 		}
-		slots = append(slots, snapSlot{recIdx: c.n.recIdx, kind: snapSlotWord,
+		slots = append(slots, snapSlot{recIdx: idx, kind: snapSlotWord,
 			old: uint16(c.old), new: uint16(c.new)})
 		if c.newLogOff != 0 {
-			slots = append(slots, snapSlot{recIdx: c.n.recIdx, kind: snapSlotLogSwap,
+			slots = append(slots, snapSlot{recIdx: idx, kind: snapSlotLogSwap,
 				logOff: c.newLogOff})
 		}
 	}
@@ -244,9 +246,10 @@ func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize i
 
 	for _, c := range changes {
 		c.n.word.Store(c.new)
-		fs.dir.setWord(ctx, c.n.recIdx, c.new)
+		idx := c.n.recIdx.Load()
+		fs.dir.setWord(ctx, idx, c.new)
 		if c.newLogOff != 0 {
-			fs.dir.setLogOff(ctx, c.n.recIdx, c.newLogOff)
+			fs.dir.setLogOff(ctx, idx, c.newLogOff)
 			c.n.logOff = c.newLogOff
 		}
 		if c.markStale {
@@ -512,7 +515,7 @@ func (f *file) setExistingPath(ctx *sim.Ctx, ancestors []*node) {
 			f.ensureRecord(ctx, a)
 			w := a.word.Load() | bitExisting
 			a.word.Store(w)
-			f.fs.dir.setWord(ctx, a.recIdx, w)
+			f.fs.dir.setWord(ctx, a.recIdx.Load(), w)
 		}
 	}
 }
@@ -542,8 +545,8 @@ func (f *file) cleanChildren(ctx *sim.Ctx, a *node) {
 				f.cowPin(ctx, c)
 			}
 			c.word.Store(0)
-			if c.recIdx >= 0 {
-				f.fs.dir.setWord(ctx, c.recIdx, 0)
+			if idx := c.recIdx.Load(); idx >= 0 {
+				f.fs.dir.setWord(ctx, idx, 0)
 			}
 		}
 		if !c.leaf && (w&bitExisting != 0 || c.stale.Load()) {

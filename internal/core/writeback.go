@@ -9,7 +9,8 @@ const wbChunk = 64 * 1024
 // writeback copies every shadow log's live data back into the file and
 // releases the tree — the close path of §III-D ("when a file is no longer
 // opened by any thread, MGSP will write all logs back to the original file
-// and release related metadata"), also used as the final stage of recovery.
+// and release related metadata"). It is also recovery's write-back: Mount
+// keeps the logs, and the file's next last close writes them back here.
 func (f *file) writeback(ctx *sim.Ctx) {
 	// Write-back holds no node locks; drain optimistic readers so none reads
 	// a log block mid-release or the file mid-copy.

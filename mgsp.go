@@ -14,7 +14,8 @@
 //
 // Every operation is a synchronized atomic operation: there is no fsync to
 // schedule and no double write to hide. After a crash, Mount replays the
-// lock-free metadata log and writes the shadow logs back:
+// lock-free metadata log and keeps the shadow logs; each file's next last
+// Close writes them back:
 //
 //	dev.Recover()
 //	fs, err := mgsp.Mount(ctx, dev, mgsp.DefaultOptions())
@@ -123,7 +124,10 @@ func New(dev *Device, opts Options) (*FS, error) { return core.New(dev, opts) }
 
 // Mount recovers an MGSP file system from a device image after a crash:
 // interrupted operations are completed from the metadata log (or rolled
-// back if uncommitted) and all logs are written back (§III-D of the paper).
+// back if uncommitted) and every file's shadow-log tree is rebuilt. The
+// logs stay in place; the paper's write-back (§III-D) happens at each
+// file's next last Close, so Mount's cost tracks the work in flight at the
+// crash rather than the file size.
 func Mount(ctx *Ctx, dev *Device, opts Options) (*FS, error) {
 	return core.Mount(ctx, dev, opts)
 }
