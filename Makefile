@@ -7,7 +7,7 @@ FUZZTIME ?= 15s
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: ci vet vet-report mgspvet lint lint-tools build test ledger-test race torture fuzz bench cover bench-json bench-smoke serve-smoke
+.PHONY: ci vet vet-report mgspvet lint lint-tools build test ledger-test ledger ledger-compare race torture fuzz bench cover bench-json bench-smoke serve-smoke
 
 ci: vet vet-report build test ledger-test race serve-smoke ## everything CI runs
 
@@ -58,6 +58,19 @@ test:
 # options out of the ledger.
 ledger-test:
 	cd benchmark && $(GO) test .
+
+# The benchmark ledger (benchmark/README.md): all six workloads untraced,
+# then traced for the per-layer metrics. Results land in LEDGER.json and
+# LEDGER_trace.json for ledger-compare.
+ledger:
+	bash benchmark/run.sh -json LEDGER.json
+	bash benchmark/run.sh -trace 1 -json LEDGER_trace.json
+
+# Compare two ledger result files, e.g. a parent's LEDGER.json against this
+# checkout's: one ok / regressed / unresolved row per workload x metric.
+ledger-compare:
+	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make ledger-compare PARENT=parent.json CHANGE=change.json"; exit 2; }
+	bash benchmark/run.sh -compare $(PARENT) $(CHANGE)
 
 # Optional deep lint: staticcheck + govulncheck at pinned versions. Both
 # tools need a one-time network install (`make lint-tools`); when they are

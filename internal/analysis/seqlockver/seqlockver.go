@@ -5,8 +5,8 @@
 // re-validates returns torn data silently. Fields acting as seqlock
 // versions are declared with //mgsp:seqlock on the field; only annotated
 // fields are checked, because not every atomic version word is a seqlock
-// (core's MGL lock versions are validated cross-function by walkOpt and do
-// media reads in-section by design).
+// (core's MGL lock versions are validated cross-function by the resolver's
+// optimistic view and do media reads in-section by design).
 //
 // For every section — an assignment v := x.ver.Load() of an annotated
 // field to a local variable — the analyzer checks:

@@ -226,18 +226,13 @@ func (f *file) cleanWalk(ctx *sim.Ctx, n *node, gen, startOff int64, remaining *
 // cleanSubtree write-locks the cold subtree at c (plus IW on its ancestors,
 // root-first, all try-locks — any conflict means a foreground op is active
 // there and the cleaner backs off), preserves the live content, and reclaims
-// every log and record below. Where the content goes depends on the
-// ancestors, mirroring the read path's resolution order:
-//
-//   - an ancestor with its existing bit clear cuts reads off above c, so the
-//     whole subtree is superseded garbage: reclaim with no write-back;
-//   - otherwise, with a valid ancestor fb, reads of c's span fall back to
-//     fb's log — not the file — once c's bits are gone, so c's newer units
-//     are merged into fb's log in place (crash-safe: every byte the merge
-//     overwrites in fb's log is shadowed by a still-persisted valid bit in
-//     c's subtree until the records below c are cleared after the fence);
-//   - with no valid ancestor the fallback is the file itself and the close
-//     path's write-back applies.
+// every log and record below. An ancestor with its existing bit clear cuts
+// reads off above c, so the subtree is superseded garbage and nothing is
+// copied. Otherwise c's log-served content goes where reads of c's span fall
+// back once c's bits are gone: the deepest valid ancestor's log, or the file.
+// The merge into a log is crash-safe: every byte it overwrites there is
+// shadowed by a still-persisted valid bit below c until the records below c
+// are cleared after the fence.
 func (f *file) cleanSubtree(ctx *sim.Ctx, c *node, remaining *int64, res *cleaner.PassResult) {
 	var held []lockedNode
 	if f.fs.opts.Locking == LockMGL {
@@ -277,14 +272,8 @@ func (f *file) cleanSubtree(ctx *sim.Ctx, c *node, remaining *int64, res *cleane
 			fb = a
 		}
 	}
-	switch {
-	case cut:
-		// Unreachable by reads: garbage, no write-back.
-	case fb != nil:
-		f.wbMerge(ctx, c, c.offset(), c.offset()+c.span, nil, fb)
-		f.fs.dev.Fence(ctx)
-	default:
-		f.wbWalk(ctx, c, c.offset(), c.offset()+c.span, nil)
+	if !cut {
+		f.copyBack(ctx, c, fb)
 		f.fs.dev.Fence(ctx)
 	}
 	freed := f.reclaimSubtree(ctx, c)
@@ -292,75 +281,6 @@ func (f *file) cleanSubtree(ctx *sim.Ctx, c *node, remaining *int64, res *cleane
 		*remaining -= freed
 		res.BlocksReclaimed += freed
 		res.SubtreesCleaned++
-	}
-}
-
-// wbMerge copies the units of [lo,hi) whose source of truth lies inside c's
-// subtree (lastValid tracks valid interiors below c, like wbWalk) into dst's
-// log; units already served by dst need no copy.
-func (f *file) wbMerge(ctx *sim.Ctx, n *node, lo, hi int64, lastValid, dst *node) {
-	size := f.size.Load()
-	if lo >= size {
-		return
-	}
-	if hi > size {
-		hi = size
-	}
-	if n.leaf {
-		unit := int64(LeafSpan / f.subBits())
-		word := n.word.Load()
-		off := n.offset()
-		for cur := lo; cur < hi; {
-			u := (cur - off) / unit
-			uEnd := off + (u+1)*unit
-			if uEnd > hi {
-				uEnd = hi
-			}
-			if word&(1<<uint(u)) != 0 {
-				f.copyToLog(ctx, n, cur, uEnd, dst)
-			} else if lastValid != nil {
-				f.copyToLog(ctx, lastValid, cur, uEnd, dst)
-			}
-			cur = uEnd
-		}
-		return
-	}
-	if n.word.Load()&bitValid != 0 {
-		lastValid = n
-	}
-	if n.word.Load()&bitExisting == 0 {
-		if lastValid != nil {
-			f.copyToLog(ctx, lastValid, lo, hi, dst)
-		}
-		return
-	}
-	cs := n.childSpan(f.fs.opts.Degree)
-	for cur := lo; cur < hi; {
-		ci := (cur - n.offset()) / cs
-		cEnd := n.offset() + (ci+1)*cs
-		if cEnd > hi {
-			cEnd = hi
-		}
-		if c := n.children[ci].Load(); c != nil {
-			f.wbMerge(ctx, c, cur, cEnd, lastValid, dst)
-		} else if lastValid != nil {
-			f.copyToLog(ctx, lastValid, cur, cEnd, dst)
-		}
-		cur = cEnd
-	}
-}
-
-// copyToLog moves [lo,hi) from src's log into dst's log in bounded chunks.
-func (f *file) copyToLog(ctx *sim.Ctx, src *node, lo, hi int64, dst *node) {
-	buf := make([]byte, wbChunk)
-	for lo < hi {
-		n := int64(wbChunk)
-		if n > hi-lo {
-			n = hi - lo
-		}
-		f.fs.dev.Read(ctx, buf[:n], src.logOff+(lo-src.offset()))
-		f.fs.dev.WriteNT(ctx, buf[:n], dst.logOff+(lo-dst.offset()))
-		lo += n
 	}
 }
 

@@ -80,7 +80,7 @@ func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, began int64) bo
 	}
 	end := off + int64(len(p))
 	vers := make([]nodeVer, 0, 8)
-	if !f.walkOpt(ctx, root, off, end, nil, p, off, &vers) {
+	if !f.readView(ctx, root, view{vers: &vers}, off, p, f.size.Load()) {
 		fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
 		return false
 	}
@@ -101,47 +101,5 @@ func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, began int64) bo
 	dur := ctx.Now() - began
 	fs.hRead.Observe(dur)
 	fs.trace.Record(ctx.ID, obs.OpRead, f.pf.Slot(), off, int64(len(p)), dur)
-	return true
-}
-
-// walkOpt mirrors walkResolve with version recording: the structure and the
-// cost accounting are identical, but every visited node's version is checked
-// (bail on odd: a writer holds W right now) and remembered for post-copy
-// validation. The leaf/fallback copies reuse the locked path's helpers,
-// which are themselves lock-free.
-func (f *file) walkOpt(ctx *sim.Ctx, n *node, lo, hi int64, lastValid *node, buf []byte, base int64, vers *[]nodeVer) bool {
-	v := n.lock.ver.Load()
-	if v&1 != 0 {
-		return false
-	}
-	*vers = append(*vers, nodeVer{n, v})
-	ctx.Advance(f.fs.costs.IndexStep)
-	if n.leaf {
-		f.resolveLeaf(ctx, n, lo, hi, lastValid, buf, base)
-		return true
-	}
-	if n.word.Load()&bitValid != 0 {
-		lastValid = n
-	}
-	if n.word.Load()&bitExisting == 0 {
-		f.readFrom(ctx, lastValid, lo, hi, buf[lo-base:hi-base])
-		return true
-	}
-	cs := n.childSpan(f.fs.opts.Degree)
-	for cur := lo; cur < hi; {
-		ci := (cur - n.offset()) / cs
-		cEnd := n.offset() + (ci+1)*cs
-		if cEnd > hi {
-			cEnd = hi
-		}
-		if c := n.children[ci].Load(); c != nil {
-			if !f.walkOpt(ctx, c, cur, cEnd, lastValid, buf, base, vers) {
-				return false
-			}
-		} else {
-			f.readFrom(ctx, lastValid, cur, cEnd, buf[cur-base:cEnd-base])
-		}
-		cur = cEnd
-	}
 	return true
 }

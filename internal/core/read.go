@@ -121,98 +121,3 @@ func (f *file) readCover(ctx *sim.Ctx, n *node, lo, hi int64, out []segment) []s
 	}
 	return out
 }
-
-// resolveData fills buf with the latest content of [lo, hi), walking the
-// bitmaps: a node's private log wins where its valid bit is set, descendants
-// win where existing leads to deeper valid bits, and the fallback is the
-// nearest valid ancestor or ultimately the file. Bytes at or beyond the
-// file size read as zeros.
-func (f *file) resolveData(ctx *sim.Ctx, lo, hi int64, buf []byte) {
-	root := f.root.Load()
-	if root == nil {
-		f.readFrom(ctx, nil, lo, hi, buf)
-		return
-	}
-	f.walkResolve(ctx, root, lo, hi, nil, buf, lo)
-}
-
-func (f *file) walkResolve(ctx *sim.Ctx, n *node, lo, hi int64, lastValid *node, buf []byte, base int64) {
-	ctx.Advance(f.fs.costs.IndexStep)
-	if n.leaf {
-		f.resolveLeaf(ctx, n, lo, hi, lastValid, buf, base)
-		return
-	}
-	if n.word.Load()&bitValid != 0 {
-		lastValid = n
-	}
-	if n.word.Load()&bitExisting == 0 {
-		f.readFrom(ctx, lastValid, lo, hi, buf[lo-base:hi-base])
-		return
-	}
-	cs := n.childSpan(f.fs.opts.Degree)
-	for cur := lo; cur < hi; {
-		ci := (cur - n.offset()) / cs
-		cEnd := n.offset() + (ci+1)*cs
-		if cEnd > hi {
-			cEnd = hi
-		}
-		if c := n.children[ci].Load(); c != nil {
-			f.walkResolve(ctx, c, cur, cEnd, lastValid, buf, base)
-		} else {
-			f.readFrom(ctx, lastValid, cur, cEnd, buf[cur-base:cEnd-base])
-		}
-		cur = cEnd
-	}
-}
-
-// resolveLeaf serves [lo,hi) within one leaf, unit by unit, coalescing
-// adjacent units with the same source.
-func (f *file) resolveLeaf(ctx *sim.Ctx, n *node, lo, hi int64, lastValid *node, buf []byte, base int64) {
-	unit := int64(LeafSpan / f.subBits())
-	word := n.word.Load()
-	off := n.offset()
-	for cur := lo; cur < hi; {
-		u := (cur - off) / unit
-		uEnd := off + (u+1)*unit
-		fromLeaf := word&(1<<uint(u)) != 0
-		// Extend across units with the same source.
-		for uEnd < hi {
-			nu := (uEnd - off) / unit
-			if (word&(1<<uint(nu)) != 0) != fromLeaf {
-				break
-			}
-			uEnd += unit
-		}
-		if uEnd > hi {
-			uEnd = hi
-		}
-		if fromLeaf {
-			f.fs.dev.Read(ctx, buf[cur-base:uEnd-base], n.logOff+(cur-off))
-		} else {
-			f.readFrom(ctx, lastValid, cur, uEnd, buf[cur-base:uEnd-base])
-		}
-		cur = uEnd
-	}
-}
-
-// readFrom reads [lo,hi) from src's log (nil = the file), zero-filling
-// bytes at or beyond the file size.
-func (f *file) readFrom(ctx *sim.Ctx, src *node, lo, hi int64, out []byte) {
-	size := f.size.Load()
-	valid := hi
-	if valid > size {
-		valid = size
-	}
-	if valid > lo {
-		if src == nil {
-			f.pf.DirectRead(ctx, out[:valid-lo], lo)
-		} else {
-			f.fs.dev.Read(ctx, out[:valid-lo], src.logOff+(lo-src.offset()))
-		}
-	}
-	for i := valid - lo; i < hi-lo; i++ {
-		if i >= 0 {
-			out[i] = 0
-		}
-	}
-}

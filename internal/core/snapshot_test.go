@@ -163,6 +163,62 @@ func TestSnapshotLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadTraced: every snapshot read lands in the trace ring,
+// whether the file bytes serve it (the tree was written back at Close) or
+// the live tree does.
+func TestSnapshotReadTraced(t *testing.T) {
+	fs, ctx := newTestFS(smallTreeOpts())
+	f, err := fs.Create(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := fill(64<<10, 5)
+	if _, err := f.WriteAt(ctx, img, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	id, err := fs.Snapshot(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := fs.OpenSnapshot(ctx, "f", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close(ctx)
+	snapReads := func() (n int) {
+		for _, e := range fs.TraceRing().Events() {
+			if e.Op == "snap-read" {
+				n++
+			}
+		}
+		return n
+	}
+	buf := make([]byte, len(img))
+	if _, err := sh.ReadAt(ctx, buf, 0); err != nil || !bytes.Equal(buf, img) {
+		t.Fatalf("snapshot read without a tree: err=%v, content differs", err)
+	}
+	if got := snapReads(); got != 1 {
+		t.Fatalf("after a snapshot read served by the file: %d snap-read events, want 1", got)
+	}
+	f, err = fs.Open(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(ctx)
+	if _, err := f.WriteAt(ctx, fill(4096, 77), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.ReadAt(ctx, buf, 0); err != nil || !bytes.Equal(buf, img) {
+		t.Fatalf("snapshot read through the tree: err=%v, content differs", err)
+	}
+	if got := snapReads(); got != 2 {
+		t.Fatalf("after a snapshot read through the tree: %d snap-read events, want 2", got)
+	}
+}
+
 // TestSnapshotCreationConstantMediaWrites: taking a snapshot costs one
 // metadata-log entry regardless of file size — O(metadata), no data copy.
 func TestSnapshotCreationConstantMediaWrites(t *testing.T) {
