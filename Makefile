@@ -125,9 +125,11 @@ bench-json:
 	$(GO) run ./cmd/mgspbench -exp core,mixed,fig10s -json BENCH_core.json
 	$(GO) run ./cmd/mgspstat -validate BENCH_core.json
 
-# The concurrent crash-consistency torture harness on its own: ~200 sampled
-# (seed, crash-index) points with 4 racing writers per run, op-atomicity
-# oracle checked after every recovery. Violations print a deterministic
+# The crash harness on its own, race detector on: ~200 sampled (seed,
+# crash-index) points with 4 racing writers per run under the region oracle,
+# plus the scripted single-writer sweeps (MGSP, NOVA, Libnvmmio, snapshot
+# lifecycle) crashing at every stride-th media op under the prefix oracle.
+# Torture violations print a deterministic
 # `go test -run TestTortureReplay -torture.*` repro line.
 torture:
 	$(GO) test -race -count=1 ./internal/torture

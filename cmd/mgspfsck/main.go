@@ -110,12 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dev.ArmCrash(*crashAfter, *seed)
 	completed := 0
 	var setupErr error
-	func() {
-		defer func() {
-			if r := recover(); r != nil && r != nvm.ErrCrashed {
-				panic(r)
-			}
-		}()
+	crashed := nvm.Shield(func() {
 		buf := make([]byte, 4096)
 		for i := 0; i < *ops; i++ {
 			if *snap && i == *ops/2 {
@@ -133,11 +128,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			completed++
 		}
-	}()
+	})
 	if setupErr != nil {
 		return fail(stderr, setupErr)
 	}
-	if dev.Crashed() {
+	if crashed {
 		fmt.Fprintf(stdout, "CRASH after %d completed writes (mid-operation torn at 8-byte granularity)\n", completed)
 	} else {
 		fmt.Fprintf(stdout, "workload finished without reaching the fail point (%d writes)\n", completed)

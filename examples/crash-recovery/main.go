@@ -46,14 +46,13 @@ func main() {
 
 		dev.ArmCrash(fail, fail)
 		completed := -1
-		func() {
-			defer func() { recover() }()
+		crashed := mgsp.Shield(func() {
 			for i, o := range script {
 				f.WriteAt(ctx, bytes.Repeat([]byte{o.pat}, o.n), o.off)
 				completed = i
 			}
-		}()
-		if !dev.Crashed() {
+		})
+		if !crashed {
 			fmt.Printf("swept %d crash points (%d verified boundaries): all atomic\n", crashes, checked)
 			return
 		}

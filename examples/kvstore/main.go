@@ -163,12 +163,11 @@ func main() {
 
 	// Crash in the middle of an update burst.
 	dev.ArmCrash(100, 9)
-	func() {
-		defer func() { recover() }()
+	mgsp.Shield(func() {
 		for i := 0; i < 500; i++ {
 			kv.Put(ctx, fmt.Sprintf("user:%04d", i), fmt.Sprintf("UPDATED-%04d", i))
 		}
-	}()
+	})
 	fmt.Println("crash injected mid-update-burst")
 	dev.Recover()
 

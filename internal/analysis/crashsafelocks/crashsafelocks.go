@@ -1,5 +1,5 @@
 // Package crashsafelocks defines an analyzer for the lock discipline that
-// PR 3's torture harness enforced at runtime: under crashtest, every media
+// PR 3's torture harness enforced at runtime: under a crash sweep, every media
 // op can panic (a simulated crash unwinds the stack), so a mutex or MGL
 // lock must never be held across a media op unless its unlock is deferred —
 // otherwise the panic leaks the lock to the surviving workers. PR 3 fixed
@@ -37,7 +37,7 @@ import (
 
 const doc = `check that locks are not held across crash-injection points without a deferred unlock
 
-Under crashtest a media op may panic mid-operation; a non-deferred unlock on
+Under a crash sweep a media op may panic mid-operation; a non-deferred unlock on
 the same path then leaks the lock. Use defer, or a locked closure around the
 media-op section. Suppress with //mgsp:crash-locked <justification>.`
 

@@ -1,5 +1,5 @@
 // Package a holds the crashsafe-locks golden cases: locks held across
-// media ops (which may panic under crashtest) with and without a deferred
+// media ops (which may panic under a crash sweep) with and without a deferred
 // unlock.
 package a
 

@@ -1,7 +1,7 @@
 // Package srv reconstructs internal/server's batcher shapes for the
 // crashsafe-locks golden corpus. The group-commit flush (WriteMulti) and
 // the namespace calls (Open/Create/Close) take ctx and reach media, so
-// under crashtest they can panic at a fail point — shard state locks held
+// under a crash sweep they can panic at a fail point — shard state locks held
 // across them leak to every other connection unless the unlock is deferred.
 // Unlike the `a` corpus these locks are plain sync mutexes (the server's
 // goroutines are real, not simulated workers); the discipline is the same.

@@ -81,7 +81,7 @@ func MethodOn(info *types.Info, call *ast.CallExpr, pkgElem, typeName string) st
 }
 
 // DeviceMediaOps is the set of nvm.Device methods that touch the media and
-// therefore hit crash-injection fail points under crashtest.
+// therefore hit crash-injection fail points under a crash sweep.
 var DeviceMediaOps = map[string]bool{
 	"Read": true, "Write": true, "WriteNT": true, "Flush": true,
 	"Fence": true, "Persist": true, "Store8": true, "CAS8": true,

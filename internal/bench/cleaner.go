@@ -101,18 +101,13 @@ func runSustained(fileSize int64, ops int, seed int64, cleanerOn bool) (sustaine
 
 	// Crash a short way into continued load, then recover.
 	dev.ArmCrash(500, seed*31+7)
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil && rec != nvm.ErrCrashed {
-				panic(rec)
-			}
-		}()
+	nvm.Shield(func() {
 		for {
 			if _, err := f.WriteAt(ctx, buf, randOff()); err != nil {
 				return
 			}
 		}
-	}()
+	})
 	dev.DisarmCrash()
 	dev.Recover()
 

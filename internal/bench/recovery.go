@@ -61,19 +61,14 @@ func recoverOnce(fileSize int64, ops int, seed int64) (recoveryResult, error) {
 	// Random-write phase filling the logs, then crash mid-flight.
 	buf := make([]byte, 4096)
 	dev.ArmCrash(int64(ops)*3, seed) // land the crash inside the workload
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil && rec != nvm.ErrCrashed {
-				panic(rec)
-			}
-		}()
+	nvm.Shield(func() {
 		for i := 0; i < ops*4; i++ {
 			off := ctx.Rand.Int63n(fileSize/4096) * 4096
 			if _, err := f.WriteAt(ctx, buf, off); err != nil {
 				return
 			}
 		}
-	}()
+	})
 	dev.DisarmCrash()
 	dev.Recover()
 

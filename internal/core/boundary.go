@@ -1,12 +1,12 @@
 package core
 
-// Op-boundary predicate shared by the crash harnesses (internal/crashtest,
-// internal/torture). MGSP advertises operation-level atomicity
-// (vfs.OpAtomic): after a crash and recovery, every byte region must read as
-// exactly one of the states an operation boundary could have left — never a
-// torn interleaving of two ops and never a partially applied op. The
-// harnesses express each check as "the recovered bytes equal one of these
-// candidate images".
+// Op-boundary predicate shared by the two crash oracles of internal/torture
+// (the script mode's prefix oracle and the region oracle). MGSP advertises
+// operation-level atomicity (vfs.OpAtomic): after a crash and recovery, every
+// byte region must read as exactly one of the states an operation boundary
+// could have left — never a torn interleaving of two ops and never a
+// partially applied op. The oracles express each check as "the recovered
+// bytes equal one of these candidate images".
 
 // MatchCandidate returns the index of the first candidate image equal to
 // got, or -1 if the recovered bytes match none of them — an op-atomicity

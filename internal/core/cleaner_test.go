@@ -236,20 +236,11 @@ func TestCrashDuringCleaning(t *testing.T) {
 		ref := fillPerLeaf(t, ctx, fs, "f", size, 11)
 
 		dev.ArmCrash(fail, fail*13+5)
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrCrashed {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
+		crashed := nvm.Shield(func() {
 			fs.CleanPass(ctx, 0)
 			fs.CleanPass(ctx, 0)
 			fs.Checkpoint(ctx)
-		}()
+		})
 		dev.DisarmCrash()
 		if !crashed {
 			if lb := fs.LogBlocks(); lb != 0 {

@@ -24,18 +24,9 @@ func crashRun(t *testing.T, opts Options, fail int64, setup, op func(*sim.Ctx, *
 	setup(ctx, fs)
 
 	dev.ArmCrash(fail, fail*7+3)
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != nvm.ErrCrashed {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	crashed := nvm.Shield(func() {
 		op(ctx, fs)
-	}()
+	})
 	dev.DisarmCrash()
 	if !crashed {
 		return fs, false
@@ -346,17 +337,12 @@ func TestCrashRandomizedWorkload(t *testing.T) {
 
 		completed := -1
 		dev.ArmCrash(fail, int64(trial))
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrCrashed {
-					panic(r)
-				}
-			}()
+		nvm.Shield(func() {
 			for i, w := range script {
 				f.WriteAt(ctx, bytes.Repeat([]byte{w.pat}, w.n), w.off)
 				completed = i
 			}
-		}()
+		})
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := Mount(ctx, dev, opts)
@@ -722,16 +708,7 @@ func TestCrashSweepCursorPublish(t *testing.T) {
 				[]bitmapSlot{{recIdx: int64(i), old: 1, new: 2}}, group, 0, 1, 1)
 		}
 
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrCrashed {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
+		crashed := nvm.Shield(func() {
 			dev.ArmCrash(fail, fail*13+5)
 			// Phase 1: worker 3 claims 20 entries without retiring — the home
 			// area fills at 15 and the rest spill into the next area, with a
@@ -755,7 +732,7 @@ func TestCrashSweepCursorPublish(t *testing.T) {
 				m.retire(ctx, i)
 				retired[i] = true
 			}
-		}()
+		})
 		dev.DisarmCrash()
 		if !crashed {
 			if fail == 1 {

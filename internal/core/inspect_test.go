@@ -18,10 +18,7 @@ func TestInspectReportsStructures(t *testing.T) {
 
 	// Crash mid-op so a live metadata entry remains.
 	dev.ArmCrash(2, 1)
-	func() {
-		defer func() { recover() }()
-		f.WriteAt(ctx, make([]byte, 4096), 8192)
-	}()
+	nvm.Shield(func() { f.WriteAt(ctx, make([]byte, 4096), 8192) })
 	dev.Recover()
 
 	report, err := Inspect(dev, DefaultOptions())

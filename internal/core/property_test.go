@@ -181,17 +181,12 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 		fail := rng.Int63n(400) + 1
 		dev.ArmCrash(fail, seed)
 		completed := -1
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrCrashed {
-					panic(r)
-				}
-			}()
+		nvm.Shield(func() {
 			for i, w := range script {
 				fh.WriteAt(ctx, bytes.Repeat([]byte{w.pat}, w.n), w.off)
 				completed = i
 			}
-		}()
+		})
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := Mount(ctx, dev, opts)

@@ -96,18 +96,9 @@ func TestWriteMultiCrashAtomicity(t *testing.T) {
 			{Off: 100000, Data: bytes.Repeat([]byte{3}, 700)},
 		}
 		dev.ArmCrash(fail, fail)
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrCrashed {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
+		crashed := nvm.Shield(func() {
 			hh.WriteMulti(ctx, updates)
-		}()
+		})
 		if !crashed {
 			if fail == 1 {
 				t.Fatal("sweep never crashed")

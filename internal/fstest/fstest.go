@@ -2,7 +2,7 @@
 // file system must pass: read-your-writes against an in-memory reference
 // model under randomized operation sequences, size semantics, truncation, and
 // concurrent disjoint-range writers. Per-system durability/crash semantics
-// are asserted in each system's own tests and in internal/crashtest.
+// are asserted in each system's own tests and in internal/torture.
 package fstest
 
 import (

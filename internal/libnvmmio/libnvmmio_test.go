@@ -133,21 +133,12 @@ func TestCrashSweepFsyncBoundary(t *testing.T) {
 		f.Fsync(ctx)
 
 		dev.ArmCrash(fail, fail+31)
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrCrashed {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
+		crashed := nvm.Shield(func() {
 			f.WriteAt(ctx, update, 1000)
 			f.Fsync(ctx)
 			f.WriteAt(ctx, update, 9000)
 			f.Fsync(ctx)
-		}()
+		})
 		if !crashed {
 			if fail == 0 {
 				t.Fatal("sweep never crashed")

@@ -75,12 +75,7 @@ func TestGCCrashAtomicity(t *testing.T) {
 
 		dev.ArmCrash(fail, fail)
 		written := map[int64]byte{}
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrCrashed {
-					panic(r)
-				}
-			}()
+		nvm.Shield(func() {
 			for i := 0; i < 2000; i++ {
 				off := int64(i%16) * 4096
 				pat := byte(i%250 + 1)
@@ -89,7 +84,7 @@ func TestGCCrashAtomicity(t *testing.T) {
 				}
 				written[off] = pat
 			}
-		}()
+		})
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := Mount(ctx, dev)

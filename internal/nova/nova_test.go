@@ -61,18 +61,9 @@ func TestCrashSweepWriteAtomicity(t *testing.T) {
 		f.WriteAt(ctx, old, 0)
 
 		dev.ArmCrash(fail, fail+100)
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrCrashed {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
+		crashed := nvm.Shield(func() {
 			f.WriteAt(ctx, new_, 1000)
-		}()
+		})
 		if !crashed {
 			// The whole op completed before the fail point: sweep is done.
 			if fail == 0 {

@@ -447,6 +447,23 @@ func (d *Device) hitFailPoint(ctx *sim.Ctx, tear func(*rand.Rand)) {
 	panic(ErrCrashed)
 }
 
+// Shield runs body and reports whether it was cut short by the crash panic
+// (ErrCrashed), which it absorbs; any other panic propagates. Every
+// goroutine that may touch a crash-armed device does its work inside
+// Shield, so a crash unwinds only that goroutine — never the process.
+func Shield(body func()) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != ErrCrashed {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	body()
+	return false
+}
+
 // Crashed reports whether the device has hit its fail point.
 func (d *Device) Crashed() bool { return d.crashed.Load() }
 

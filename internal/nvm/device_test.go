@@ -173,11 +173,10 @@ func TestCrashAfterNOps(t *testing.T) {
 	d.WriteNT(ctx, []byte{1}, 0)
 	d.WriteNT(ctx, []byte{2}, 64)
 	d.WriteNT(ctx, []byte{3}, 128)
-	func() {
-		defer func() { recover() }()
+	Shield(func() {
 		d.WriteNT(ctx, []byte{4}, 192)
 		t.Fatal("4th media op survived")
-	}()
+	})
 	if !d.Crashed() {
 		t.Fatal("device should have crashed on op 4")
 	}
@@ -186,13 +185,41 @@ func TestCrashAfterNOps(t *testing.T) {
 func TestOpsOnCrashedDevicePanic(t *testing.T) {
 	d, ctx := newTestDevice(4096)
 	d.ArmCrash(0, 1)
-	func() { defer func() { recover() }(); d.WriteNT(ctx, []byte{1}, 0) }()
+	Shield(func() { d.WriteNT(ctx, []byte{1}, 0) })
 	defer func() {
 		if recover() != ErrCrashed {
 			t.Fatal("op on crashed device did not panic with ErrCrashed")
 		}
 	}()
 	d.Read(ctx, make([]byte, 1), 0)
+}
+
+// TestShield pins Shield's contract: it runs the body, absorbs the crash
+// panic and reports it, passes every other panic through, and reports
+// false when the body completes.
+func TestShield(t *testing.T) {
+	ran := false
+	if Shield(func() { ran = true }) || !ran {
+		t.Fatalf("completed body: ran=%v, want Shield to run it and report no crash", ran)
+	}
+
+	d, ctx := newTestDevice(4096)
+	d.ArmCrash(0, 1)
+	after := false
+	if !Shield(func() { d.WriteNT(ctx, []byte{1}, 0); after = true }) {
+		t.Fatal("crash panic not reported")
+	}
+	if after {
+		t.Fatal("body kept running past the crash panic")
+	}
+
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("re-panicked with %v, want the body's own value", r)
+		}
+	}()
+	Shield(func() { panic("boom") })
+	t.Fatal("a non-crash panic was swallowed")
 }
 
 func TestVirtualTimeCharges(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mgsp/internal/core"
-	"mgsp/internal/crashtest"
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
 	"mgsp/internal/vfs"
@@ -507,7 +506,7 @@ func (c *conn) handleRead(id uint32, body []byte) {
 	buf := make([]byte, n)
 	var got int
 	var err error
-	crashtest.Shield(func() { got, err = sf.vf.ReadAt(c.srv.newCtx(), buf, off) })
+	nvm.Shield(func() { got, err = sf.vf.ReadAt(c.srv.newCtx(), buf, off) })
 	if c.srv.crashed.Load() || sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpRead, id, StatusCrashed, nil)
@@ -565,7 +564,7 @@ func (c *conn) handleFsync(id uint32, body []byte) {
 		return
 	}
 	var err error
-	crashtest.Shield(func() { err = sf.vf.Fsync(c.srv.newCtx()) })
+	nvm.Shield(func() { err = sf.vf.Fsync(c.srv.newCtx()) })
 	if sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpFsync, id, StatusCrashed, nil)
@@ -589,7 +588,7 @@ func (c *conn) handleSnapshot(id uint32, body []byte) {
 	}
 	var sid core.SnapID
 	var err error
-	crashtest.Shield(func() { sid, err = sf.sh.fs.Snapshot(c.srv.newCtx(), sf.key) })
+	nvm.Shield(func() { sid, err = sf.sh.fs.Snapshot(c.srv.newCtx(), sf.key) })
 	if sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpSnapshot, id, StatusCrashed, nil)
@@ -619,7 +618,7 @@ func (c *conn) handleDrop(id uint32, body []byte) {
 		return
 	}
 	var err error
-	crashtest.Shield(func() { err = sf.sh.fs.DropSnapshot(c.srv.newCtx(), sf.key, snapID) })
+	nvm.Shield(func() { err = sf.sh.fs.DropSnapshot(c.srv.newCtx(), sf.key, snapID) })
 	if sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpDrop, id, StatusCrashed, nil)

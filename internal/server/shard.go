@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mgsp/internal/core"
-	"mgsp/internal/crashtest"
 	"mgsp/internal/nvm"
 	"mgsp/internal/obs"
 	"mgsp/internal/sim"
@@ -77,7 +76,7 @@ func (sh *shard) openFile(ctx *sim.Ctx, key string, create bool) (*srvFile, erro
 	}
 	var vf vfs.File
 	var err error
-	crashtest.Shield(func() {
+	nvm.Shield(func() {
 		vf, err = sh.fs.Open(ctx, key)
 		if err == vfs.ErrNotExist && create {
 			vf, err = sh.fs.Create(ctx, key)
@@ -114,7 +113,7 @@ func (sf *srvFile) release(ctx *sim.Ctx) {
 	}
 	sh.mu.Unlock()
 	if last {
-		crashtest.Shield(func() { sf.vf.Close(ctx) })
+		nvm.Shield(func() { sf.vf.Close(ctx) })
 	}
 }
 
@@ -129,7 +128,7 @@ func (sh *shard) closeAll(ctx *sim.Ctx) {
 	sh.open = make(map[string]*srvFile)
 	sh.mu.Unlock()
 	for _, sf := range files {
-		crashtest.Shield(func() { sf.vf.Close(ctx) })
+		nvm.Shield(func() { sf.vf.Close(ctx) })
 	}
 }
 
@@ -238,7 +237,7 @@ func (sh *shard) commitRun(run fileRun) error {
 		updates[i] = core.Update{Off: op.off, Data: op.data}
 	}
 	var err error
-	crashtest.Shield(func() { err = run.sf.mw.WriteMulti(sh.ctx, updates) })
+	nvm.Shield(func() { err = run.sf.mw.WriteMulti(sh.ctx, updates) })
 	if sh.dev.Crashed() {
 		srv.noteCrash()
 		err = ErrCrashed

@@ -62,12 +62,7 @@ func TestAtomicModeCrashSweep(t *testing.T) {
 
 		committed := -1
 		dev.ArmCrash(fail, fail)
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrCrashed {
-					panic(r)
-				}
-			}()
+		nvm.Shield(func() {
 			for i := 0; i < rows; i++ {
 				err := db.Exec(ctx, func(tx *Txn) error {
 					for j := 0; j < 3; j++ {
@@ -84,7 +79,7 @@ func TestAtomicModeCrashSweep(t *testing.T) {
 				}
 				committed = i
 			}
-		}()
+		})
 		dev.DisarmCrash()
 		if !dev.Crashed() {
 			if fail == 60 {

@@ -27,12 +27,7 @@ func TestWALCrashSweep(t *testing.T) {
 
 		committed := -1
 		dev.ArmCrash(fail, fail)
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrCrashed {
-					panic(r)
-				}
-			}()
+		nvm.Shield(func() {
 			for i := 0; i < rows; i++ {
 				err := db.Exec(ctx, func(tx *Txn) error {
 					// Multi-row transaction: all three rows must commit
@@ -51,7 +46,7 @@ func TestWALCrashSweep(t *testing.T) {
 				}
 				committed = i
 			}
-		}()
+		})
 		dev.DisarmCrash()
 		if !dev.Crashed() {
 			if fail == 50 {
@@ -116,18 +111,13 @@ func TestOffModeOnMGSPPageAtomic(t *testing.T) {
 		}
 		db.CreateTable(ctx, "t")
 		dev.ArmCrash(fail, fail)
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrCrashed {
-					panic(r)
-				}
-			}()
+		nvm.Shield(func() {
 			for i := 0; i < 60; i++ {
 				db.Exec(ctx, func(tx *Txn) error {
 					return tx.Insert(ctx, "t", []byte(fmt.Sprintf("k%04d", i)), []byte("v"))
 				})
 			}
-		}()
+		})
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := core.Mount(sim.NewCtx(1, fail), dev, core.DefaultOptions())

@@ -48,6 +48,10 @@ type state struct {
 	created  int
 	errs     []error
 	vios     []liveVio
+	// inflightImg is the image a snapshot whose creation the crash
+	// interrupted must freeze, when the workload pins it down: a script's
+	// single writer knows the file at the call. Concurrent runs leave it nil.
+	inflightImg []byte
 }
 
 // liveVio is a violation detected while the workload is still running — the
@@ -83,22 +87,23 @@ func (st *state) noteErr(err error) {
 	st.mu.Unlock()
 }
 
-func (st *state) takeErrs() []error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.errs
-}
-
 func (st *state) noteVio(kind string, region int, detail string) {
 	st.mu.Lock()
 	st.vios = append(st.vios, liveVio{kind: kind, region: region, detail: detail})
 	st.mu.Unlock()
 }
 
-func (st *state) takeVios() []liveVio {
+// report folds what the workload noted while it ran into res: each op
+// error as an "op-error" violation, then the live violations.
+func (st *state) report(res *Result) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.vios
+	for _, err := range st.errs {
+		res.addViolation("op-error", -1, err.Error())
+	}
+	for _, v := range st.vios {
+		res.addViolation(v.kind, v.region, v.detail)
+	}
 }
 
 // snapBudget admits one more Snapshot call if the run is under maxSnaps.
@@ -185,27 +190,26 @@ type Result struct {
 	// ops — including recovery itself after a crash — that led to the bad
 	// state, for forensics alongside the schedule.
 	Trace string
+
+	repro string // every violation's Repro line
 }
 
-// captureTrace dumps the verified file system's trace ring into the result,
-// but only when the oracle failed — a clean run keeps the result small.
-func (res *Result) captureTrace(fs *core.FS) {
-	if len(res.Violations) == 0 || fs.TraceRing() == nil {
-		return
-	}
+// flightRecord dumps the verified file system's trace ring, but only when
+// the oracle found violations — a clean run keeps its result small.
+func flightRecord(fs *core.FS, violations []Violation) string {
 	var b strings.Builder
-	if err := fs.TraceRing().Format(&b); err != nil {
-		return
+	if len(violations) == 0 || fs.TraceRing() == nil || fs.TraceRing().Format(&b) != nil {
+		return ""
 	}
-	res.Trace = b.String()
+	return b.String()
 }
 
-func (res *Result) addViolation(cfg Config, kind string, region int, detail string) {
+func (res *Result) addViolation(kind string, region int, detail string) {
 	res.Violations = append(res.Violations, Violation{
 		Kind:   kind,
 		Region: region,
 		Detail: detail,
-		Repro:  cfg.ReproLine(),
+		Repro:  res.repro,
 	})
 }
 
@@ -241,7 +245,7 @@ func (st *state) verify(cfg Config, res *Result, ctx *sim.Ctx, fs *core.FS, h vf
 	names := stampTable(cfg, tr)
 	img := make([]byte, cfg.fileSize())
 	if _, err := h.ReadAt(ctx, img, 0); err != nil {
-		res.addViolation(cfg, "read", -1, fmt.Sprintf("reading recovered image: %v", err))
+		res.addViolation("read", -1, fmt.Sprintf("reading recovered image: %v", err))
 		return
 	}
 
@@ -285,7 +289,7 @@ func (st *state) verify(cfg Config, res *Result, ctx *sim.Ctx, fs *core.FS, h vf
 		got := img[int64(r)*cfg.RegionSize : int64(r+1)*cfg.RegionSize]
 		k := core.MatchCandidate(got, cands)
 		if k == -1 {
-			res.addViolation(cfg, "torn-region", r, describeRegion(got, cands, names))
+			res.addViolation("torn-region", r, describeRegion(got, cands, names))
 			continue
 		}
 		matched[r] = candOps[k]
@@ -294,20 +298,24 @@ func (st *state) verify(cfg Config, res *Result, ctx *sim.Ctx, fs *core.FS, h vf
 	// WriteMulti atomicity across regions: once one region of a multi-op is
 	// visible, its whole metadata-log chain committed, so no other region of
 	// that op may still show a state from definitely before it.
-	st.checkMulti(cfg, res, matched)
+	st.checkMulti(res, matched)
 
-	st.checkSnapshots(cfg, res, ctx, fs)
+	st.checkMGSP(res, ctx, fs)
+}
 
-	// Every listed snapshot has been dropped above, so the allocator must
-	// account for exactly the live tree now.
+// checkMGSP ends every verification of an MGSP image, concurrent or
+// scripted: the snapshot checks, which drop every listed snapshot, then the
+// block audit — the allocator must account for exactly the live tree.
+func (st *state) checkMGSP(res *Result, ctx *sim.Ctx, fs *core.FS) {
+	st.checkSnapshots(res, ctx, fs)
 	if rep := fs.AuditBlocks(); !rep.Clean() {
-		res.addViolation(cfg, "audit", -1,
+		res.addViolation("audit", -1,
 			fmt.Sprintf("block audit after recovery: %d orphans, %d unallocated",
 				len(rep.Orphans), len(rep.Unallocated)))
 	}
 }
 
-func (st *state) checkMulti(cfg Config, res *Result, matched []*opRec) {
+func (st *state) checkMulti(res *Result, matched []*opRec) {
 	for r, m := range matched {
 		if m == nil || m.kind != opMulti {
 			continue
@@ -321,11 +329,11 @@ func (st *state) checkMulti(cfg Config, res *Result, matched []*opRec) {
 			case other == m:
 			case other == nil:
 				// Initial zeros predate every op, including m.
-				res.addViolation(cfg, "multi-torn", q, fmt.Sprintf(
+				res.addViolation("multi-torn", q, fmt.Sprintf(
 					"writev w%d#%d visible in region %d but region %d still shows initial zeros",
 					m.w, m.i, r, q))
 			case other.span.Before(m.span):
-				res.addViolation(cfg, "multi-torn", q, fmt.Sprintf(
+				res.addViolation("multi-torn", q, fmt.Sprintf(
 					"writev w%d#%d visible in region %d but region %d shows w%d/%s#%d, which completed before it started",
 					m.w, m.i, r, q, other.w, other.kind, other.i))
 			}
@@ -335,10 +343,10 @@ func (st *state) checkMulti(cfg Config, res *Result, matched []*opRec) {
 
 // checkSnapshots validates the snapshot table and every frozen image, then
 // drops all listed snapshots so the block audit runs on the bare tree.
-func (st *state) checkSnapshots(cfg Config, res *Result, ctx *sim.Ctx, fs *core.FS) {
+func (st *state) checkSnapshots(res *Result, ctx *sim.Ctx, fs *core.FS) {
 	infos, err := fs.Snapshots(ctx, fileName)
 	if err != nil {
-		res.addViolation(cfg, "snap", -1, fmt.Sprintf("listing snapshots: %v", err))
+		res.addViolation("snap", -1, fmt.Sprintf("listing snapshots: %v", err))
 		return
 	}
 	listed := make(map[core.SnapID]core.SnapInfo, len(infos))
@@ -352,11 +360,11 @@ func (st *state) checkSnapshots(cfg Config, res *Result, ctx *sim.Ctx, fs *core.
 		switch {
 		case !sr.dropping && !live:
 			// Snapshot() returned, so the create entry was durably committed.
-			res.addViolation(cfg, "snap-lost", -1,
+			res.addViolation("snap-lost", -1,
 				fmt.Sprintf("committed snapshot %d not listed after recovery", sr.id))
 			continue
 		case sr.dropped && live:
-			res.addViolation(cfg, "snap-resurrected", -1,
+			res.addViolation("snap-resurrected", -1,
 				fmt.Sprintf("dropped snapshot %d listed after recovery", sr.id))
 		}
 		if !live || !sr.complete {
@@ -366,51 +374,68 @@ func (st *state) checkSnapshots(cfg Config, res *Result, ctx *sim.Ctx, fs *core.
 			continue
 		}
 		if info.Size != int64(len(sr.img)) {
-			res.addViolation(cfg, "snap-torn", -1, fmt.Sprintf(
+			res.addViolation("snap-torn", -1, fmt.Sprintf(
 				"snapshot %d frozen size %d, want %d", sr.id, info.Size, len(sr.img)))
 			continue
 		}
 		sh, err := fs.OpenSnapshot(ctx, fileName, sr.id)
 		if err != nil {
-			res.addViolation(cfg, "snap", -1, fmt.Sprintf("open snapshot %d: %v", sr.id, err))
+			res.addViolation("snap", -1, fmt.Sprintf("open snapshot %d: %v", sr.id, err))
 			continue
 		}
 		frozen := make([]byte, info.Size)
 		_, err = sh.ReadAt(ctx, frozen, 0)
 		sh.Close(ctx)
 		if err != nil {
-			res.addViolation(cfg, "snap", -1, fmt.Sprintf("read snapshot %d: %v", sr.id, err))
+			res.addViolation("snap", -1, fmt.Sprintf("read snapshot %d: %v", sr.id, err))
 			continue
 		}
 		if i := core.FirstDivergence(frozen, sr.img); i != -1 {
-			res.addViolation(cfg, "snap-torn", -1, fmt.Sprintf(
+			res.addViolation("snap-torn", -1, fmt.Sprintf(
 				"snapshot %d diverges from its frozen image at byte %d: %#x want %#x",
 				sr.id, i, frozen[i], sr.img[i]))
 		}
 	}
+	unknown := 0
 	for id := range listed {
-		if !known[id] {
-			// Created in flight at the crash: the commit raced the tear and
-			// won. Legal — but it must at least open and read cleanly.
-			sh, err := fs.OpenSnapshot(ctx, fileName, id)
-			if err != nil {
-				res.addViolation(cfg, "snap", -1,
-					fmt.Sprintf("open in-flight-created snapshot %d: %v", id, err))
-				continue
-			}
-			buf := make([]byte, sh.Size())
-			_, err = sh.ReadAt(ctx, buf, 0)
-			sh.Close(ctx)
-			if err != nil {
-				res.addViolation(cfg, "snap", -1,
-					fmt.Sprintf("read in-flight-created snapshot %d: %v", id, err))
-			}
+		if known[id] {
+			continue
 		}
+		// Created in flight at the crash: the commit raced the tear and
+		// won. Legal — but it must at least open and read cleanly, and serve
+		// the image at creation where the workload pins that down.
+		unknown++
+		sh, err := fs.OpenSnapshot(ctx, fileName, id)
+		if err != nil {
+			res.addViolation("snap", -1,
+				fmt.Sprintf("open in-flight-created snapshot %d: %v", id, err))
+			continue
+		}
+		buf := make([]byte, sh.Size())
+		_, err = sh.ReadAt(ctx, buf, 0)
+		sh.Close(ctx)
+		if err != nil {
+			res.addViolation("snap", -1,
+				fmt.Sprintf("read in-flight-created snapshot %d: %v", id, err))
+			continue
+		}
+		if st.inflightImg == nil {
+			continue
+		}
+		if i := core.FirstDivergence(buf, st.inflightImg); i != -1 {
+			res.addViolation("snap-torn", -1, fmt.Sprintf(
+				"in-flight-created snapshot %d diverges from the image at creation at byte %d", id, i))
+		}
+	}
+	// Only a Snapshot call the crash interrupted can leave an unknown entry.
+	if inflight := st.created - len(st.snaps); unknown > inflight {
+		res.addViolation("snap-phantom", -1, fmt.Sprintf(
+			"%d unknown snapshots listed, but only %d creations were in flight", unknown, inflight))
 	}
 	// Clear the table for the audit; quiescent now, so Busy is impossible.
 	for id := range listed {
 		if err := fs.DropSnapshot(ctx, fileName, id); err != nil {
-			res.addViolation(cfg, "snap", -1, fmt.Sprintf("drop snapshot %d: %v", id, err))
+			res.addViolation("snap", -1, fmt.Sprintf("drop snapshot %d: %v", id, err))
 		}
 	}
 }

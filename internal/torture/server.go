@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -227,7 +226,7 @@ func RunServer(cfg ServerConfig) (*ServerResult, error) {
 	verifyServed(cfg, res, recs, acks, func(r int) (uint64, bool) {
 		return readRegion(rctx, h, cfg, r)
 	})
-	res.captureTraceFS(fs)
+	res.Trace = flightRecord(fs, res.Violations)
 	return res, nil
 }
 
@@ -358,18 +357,4 @@ func describeInflight(inflightHead map[int]uint64, r int) string {
 		return fmt.Sprintf(" or %#x (in-flight batch)", h)
 	}
 	return ""
-}
-
-// captureTraceFS mirrors Result.captureTrace for the server-mode result:
-// when the oracle failed, dump the recovered FS's flight recorder so the
-// forensics include what recovery itself did.
-func (res *ServerResult) captureTraceFS(fs *core.FS) {
-	if len(res.Violations) == 0 || fs.TraceRing() == nil {
-		return
-	}
-	var b strings.Builder
-	if err := fs.TraceRing().Format(&b); err != nil {
-		return
-	}
-	res.Trace = b.String()
 }

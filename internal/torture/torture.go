@@ -1,16 +1,24 @@
-// Package torture is the concurrent crash-consistency torture harness for
-// MGSP: N writer goroutines issue a mixed workload (WriteAt, WriteMulti,
-// Fsync, Snapshot, DropSnapshot) over overlapping regions of one shared
-// file while the simulated NVM device is armed to crash at a sampled
-// media-op index. After the crash the harness remounts through the §III-D
-// recovery path and checks an op-atomicity oracle: every recovered region
+// Package torture is the crash harness. Every run lays out one file on a
+// fresh device, crashes it at a chosen media op, remounts, and checks an
+// oracle; one crash-index loop (sweep.go) drives every sweep. Script mode
+// (script.go) replays a single-writer script against any vfs.FS under the
+// prefix oracle; serving mode (server.go) crashes a live server; the rest of
+// this file and oracle.go are torture mode, whose Result, Violation and MGSP
+// end checks the other modes share.
+//
+// Torture mode is the concurrent harness for MGSP: N writer goroutines
+// issue a mixed workload (WriteAt, WriteMulti, Fsync, Snapshot,
+// DropSnapshot) over overlapping regions of one shared file while the
+// simulated NVM device is armed to crash at a sampled media-op index.
+// After the crash the harness remounts through the §III-D recovery path and
+// checks an op-atomicity oracle: every recovered region
 // must equal the image of exactly one operation that could have been the
 // region's last committed (or in-flight committed) write — never a torn
 // interleaving — every region of a WriteMulti must commit together, every
 // live snapshot must still serve its frozen image, and the block allocator
 // must audit clean.
 //
-// Two execution modes share one oracle:
+// Two execution modes share its region oracle:
 //
 //   - Concurrent (default): real goroutines race on the real lock paths, so
 //     the run composes with -race. The per-run verdict is sound — the
@@ -31,7 +39,6 @@ import (
 	"sync"
 
 	"mgsp/internal/core"
-	"mgsp/internal/crashtest"
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
 	"mgsp/internal/vfs"
@@ -120,12 +127,19 @@ func (cfg Config) withDefaults() Config {
 		cfg.Opts.CacheFrames = 8
 	}
 	if cfg.DevSize == 0 {
-		cfg.DevSize = 4 << 20
-		if min := cfg.fileSize() * 16; cfg.DevSize < min {
-			cfg.DevSize = min
-		}
+		cfg.DevSize = devSizeFor(cfg.fileSize())
 	}
 	return cfg
+}
+
+// devSizeFor sizes a run's device from its file: 16× the file leaves room
+// for shadow logs, snapshot pins and the metadata log, and 4 MiB is the
+// floor.
+func devSizeFor(fileSize int64) int64 {
+	if min := fileSize * 16; min > 4<<20 {
+		return min
+	}
+	return 4 << 20
 }
 
 func (cfg Config) check() error {
@@ -284,40 +298,77 @@ type multiWriter interface {
 	WriteMulti(ctx *sim.Ctx, updates []core.Update) error
 }
 
+// Mounter opens a file system on a device image: the recovery path after a
+// crash.
+type Mounter func(ctx *sim.Ctx, dev *nvm.Device) (vfs.FS, error)
+
+// testBed is where every run, concurrent or scripted, starts: a fresh
+// device, the file system under test formatted on it, and the shared file
+// laid out as zeros and made durable by the setup worker. setup and h stay
+// usable for verifying a run that completes.
+type testBed struct {
+	dev   *nvm.Device
+	fs    vfs.FS
+	setup *sim.Ctx
+	h     vfs.File
+}
+
+func newTestBed(devSize, fileSize, seed int64, format func(*nvm.Device) (vfs.FS, error)) (*testBed, error) {
+	b := &testBed{dev: nvm.New(devSize, sim.ZeroCosts()), setup: sim.NewCtx(setupWorker, seed)}
+	var err error
+	if b.fs, err = format(b.dev); err != nil {
+		return nil, err
+	}
+	if b.h, err = b.fs.Create(b.setup, fileName); err != nil {
+		return nil, err
+	}
+	if _, err := b.h.WriteAt(b.setup, make([]byte, fileSize), 0); err != nil {
+		return nil, err
+	}
+	if err := b.h.Fsync(b.setup); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// remount recovers a crashed image through mount under the recovery worker
+// and reopens the shared file.
+func remount(dev *nvm.Device, seed int64, mount Mounter) (*sim.Ctx, vfs.FS, vfs.File, error) {
+	ctx := sim.NewCtx(recoveryWorker, seed)
+	fs, err := mount(ctx, dev)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("recovery failed: %w", err)
+	}
+	h, err := fs.Open(ctx, fileName)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("open after recovery: %w", err)
+	}
+	return ctx, fs, h, nil
+}
+
 // runCtx carries one run's live objects. lastPriv[w] is the stamp of writer
 // w's last acked private-region write; it is only ever touched from w's own
 // goroutine (its writes and its reads), so it needs no synchronization.
 type runCtx struct {
+	*testBed
 	cfg      Config
-	dev      *nvm.Device
-	fs       *core.FS
+	mgsp     *core.FS
 	st       *state
 	tr       [][]op
 	lastPriv []uint64
 }
 
-// prepare builds the device, formats the FS, lays out the shared file, and
-// readies the oracle state. setup stays usable for post-run verification.
-func prepare(cfg Config) (*runCtx, *sim.Ctx, vfs.File, error) {
-	dev := nvm.New(cfg.DevSize, sim.ZeroCosts())
-	fs, err := core.New(dev, cfg.Opts)
+// prepare lays out the test bed on a fresh MGSP and readies the oracle
+// state.
+func prepare(cfg Config) (*runCtx, error) {
+	b, err := newTestBed(cfg.DevSize, cfg.fileSize(), cfg.Seed, func(dev *nvm.Device) (vfs.FS, error) {
+		return core.New(dev, cfg.Opts)
+	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	setup := sim.NewCtx(setupWorker, cfg.Seed)
-	h, err := fs.Create(setup, fileName)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if _, err := h.WriteAt(setup, make([]byte, cfg.fileSize()), 0); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := h.Fsync(setup); err != nil {
-		return nil, nil, nil, err
-	}
-	r := &runCtx{cfg: cfg, dev: dev, fs: fs, st: newState(cfg), tr: traces(cfg),
-		lastPriv: make([]uint64, cfg.Writers)}
-	return r, setup, h, nil
+	return &runCtx{testBed: b, cfg: cfg, mgsp: b.fs.(*core.FS), st: newState(cfg), tr: traces(cfg),
+		lastPriv: make([]uint64, cfg.Writers)}, nil
 }
 
 // execute arms the crash (if configured) and drives the workload in the
@@ -352,7 +403,7 @@ func CrashedDevice(cfg Config) (*nvm.Device, error) {
 	if cfg.CrashAt <= 0 {
 		return nil, fmt.Errorf("torture: CrashedDevice needs CrashAt > 0")
 	}
-	r, _, _, err := prepare(cfg)
+	r, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +425,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	r, setup, h, err := prepare(cfg)
+	r, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -386,6 +437,7 @@ func Run(cfg Config) (*Result, error) {
 		CrashOp:     -1,
 		CrashWorker: -1,
 		Schedule:    st.sched,
+		repro:       cfg.ReproLine(),
 	}
 	for _, sp := range st.sched.Spans() {
 		res.OpsStarted++
@@ -397,39 +449,31 @@ func Run(cfg Config) (*Result, error) {
 	if crashed {
 		res.CrashOp, res.CrashWorker = dev.CrashInfo()
 		dev.Recover()
-		rctx := sim.NewCtx(recoveryWorker, cfg.Seed+1)
-		fs2, err := core.Mount(rctx, dev, cfg.Opts)
+		rctx, fs2, h2, err := remount(dev, cfg.Seed+1, func(ctx *sim.Ctx, dev *nvm.Device) (vfs.FS, error) {
+			return core.Mount(ctx, dev, cfg.Opts)
+		})
 		if err != nil {
-			res.addViolation(cfg, "mount", -1, fmt.Sprintf("recovery failed: %v", err))
+			res.addViolation("mount", -1, err.Error())
 			return res, nil
 		}
-		h2, err := fs2.Open(rctx, fileName)
-		if err != nil {
-			res.addViolation(cfg, "mount", -1, fmt.Sprintf("open after recovery: %v", err))
-			return res, nil
-		}
-		st.verify(cfg, res, rctx, fs2, h2)
-		res.captureTrace(fs2)
+		mfs := fs2.(*core.FS)
+		st.verify(cfg, res, rctx, mfs, h2)
+		res.Trace = flightRecord(mfs, res.Violations)
 		h2.Close(rctx)
 	} else {
 		// Completed run: same oracle against the live quiescent system.
-		st.verify(cfg, res, setup, r.fs, h)
-		res.captureTrace(r.fs)
+		st.verify(cfg, res, r.setup, r.mgsp, r.h)
+		res.Trace = flightRecord(r.mgsp, res.Violations)
 	}
 
 	res.MediaOps = dev.Stats().MediaOps.Load()
 	res.WorkerOps = dev.Stats().Workers()
-	for _, err := range st.takeErrs() {
-		res.addViolation(cfg, "op-error", -1, err.Error())
-	}
-	for _, v := range st.takeVios() {
-		res.addViolation(cfg, v.kind, v.region, v.detail)
-	}
+	st.report(res)
 	return res, nil
 }
 
 // runConcurrent races one goroutine per writer. Every writer runs inside
-// crashtest.Shield: a crash panic kills only that writer, and core releases
+// nvm.Shield: a crash panic kills only that writer, and core releases
 // its locks on unwind, so blocked peers wake, hit the dead device and die
 // under their own Shield.
 func (r *runCtx) runConcurrent() {
@@ -438,7 +482,7 @@ func (r *runCtx) runConcurrent() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			crashtest.Shield(func() {
+			nvm.Shield(func() {
 				ctx := sim.NewCtx(w, r.cfg.Seed+int64(w)*104729+2)
 				h, err := r.fs.Open(ctx, fileName)
 				if err != nil {
@@ -460,7 +504,7 @@ func (r *runCtx) runConcurrent() {
 // panic stops every writer at once, which is exactly what a single-threaded
 // replay of a crash means.
 func (r *runCtx) runSerial() {
-	crashtest.Shield(func() {
+	nvm.Shield(func() {
 		rng := rand.New(rand.NewSource(r.cfg.Seed ^ 0x7075726573657265))
 		ctxs := make([]*sim.Ctx, r.cfg.Writers)
 		handles := make([]vfs.File, r.cfg.Writers)
@@ -550,7 +594,7 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 			return
 		}
 		sp := st.sched.Begin(w, i, o.kind.String(), ops())
-		id, err := r.fs.Snapshot(ctx, fileName)
+		id, err := r.mgsp.Snapshot(ctx, fileName)
 		if err != nil {
 			st.noteErr(fmt.Errorf("writer %d op %d snapshot: %w", w, i, err))
 			return
@@ -560,7 +604,7 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 		// the post-crash check compares against this capture. If the crash
 		// interrupts the capture the snapshot stays unverifiable (content-
 		// wise) but its existence is still checked.
-		sh, err := r.fs.OpenSnapshot(ctx, fileName, id)
+		sh, err := r.mgsp.OpenSnapshot(ctx, fileName, id)
 		if err != nil {
 			st.noteErr(fmt.Errorf("writer %d op %d open snapshot %d: %w", w, i, id, err))
 			return
@@ -623,7 +667,7 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 			return
 		}
 		sp := st.sched.Begin(w, i, o.kind.String(), ops())
-		err := r.fs.DropSnapshot(ctx, fileName, sr.id)
+		err := r.mgsp.DropSnapshot(ctx, fileName, sr.id)
 		switch {
 		case err == nil:
 			st.finishDrop(sr, true)

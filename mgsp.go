@@ -56,6 +56,10 @@ type Device = nvm.Device
 // NewDevice creates a device of the given size.
 func NewDevice(size int64, costs Costs) *Device { return nvm.New(size, costs) }
 
+// Shield runs body and reports whether an injected crash (Device.ArmCrash)
+// cut it short; any other panic propagates.
+func Shield(body func()) (crashed bool) { return nvm.Shield(body) }
+
 // Options configures MGSP (granularity ladder, locking strategy, and the
 // paper's optional optimizations); see DefaultOptions.
 type Options = core.Options
