@@ -134,14 +134,15 @@ bench-json:
 torture:
 	$(GO) test -race -count=1 ./internal/torture
 
-# Native fuzzing of the metadata-log decoders: corrupted op entries and
-# per-worker area cursors must be rejected by checksum, never replayed,
-# never panic. Go runs one fuzz target per invocation, so the budget is
-# spent once per decoder. Short budget by default; raise with e.g.
-# `make fuzz FUZZTIME=5m`.
+# Native fuzzing of the metadata log: corrupted op entries and per-worker
+# area cursors must be rejected by checksum, never replayed, never panic,
+# and any op-slot list must survive encode -> decode across chain splits.
+# Go runs one fuzz target per invocation, so the budget is spent once per
+# target. Short budget by default; raise with e.g. `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeCursor$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='FuzzOpEntryRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/core
 
 # Coverage over the crash-consistency core. Keep internal/core above ~80%:
 # uncovered lines there are usually recovery/commit paths that only a new

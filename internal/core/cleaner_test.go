@@ -167,8 +167,8 @@ func TestCheckpointEpochSkipsStaleEntries(t *testing.T) {
 		t.Fatal("no recorded leaf to reference")
 	}
 	i := fs.mlog.claim(ctx, 0)
-	fs.mlog.commit(ctx, i, f.pf.Slot(), 0, 4096, f.size.Load(),
-		[]bitmapSlot{{recIdx: leaf.recIdx.Load(), old: uint16(leaf.word.Load()), new: 0}},
+	fs.mlog.commit(ctx, i, entKindOp, f.pf.Slot(), 0, 4096, f.size.Load(),
+		[]opSlot{{recIdx: leaf.recIdx.Load(), old: uint16(leaf.word.Load()), new: 0}},
 		0xC1EA, 0, 1, 0)
 
 	dev.Recover()

@@ -250,8 +250,8 @@ func TestMetadataEntryRoundTrip(t *testing.T) {
 	ml := newMetaLog(dev, 0, 32)
 	ctx := sim.NewCtx(0, 1)
 
-	slots := []bitmapSlot{{recIdx: 7, old: 0x3, new: 0xC}, {recIdx: 9, old: 0, new: 1}}
-	ml.commit(ctx, 3, 5, 1234, 999, 55555, slots, 42, 0, 1, 0)
+	slots := []opSlot{{recIdx: 7, old: 0x3, new: 0xC}, {recIdx: 9, old: 0, new: 1}}
+	ml.commit(ctx, 3, entKindOp, 5, 1234, 999, 55555, slots, 42, 0, 1, 0)
 	e, ok := decodeEntry(dev.Inspect(ml.off(3), entrySize))
 	if !ok {
 		t.Fatal("committed entry does not decode")
@@ -260,7 +260,7 @@ func TestMetadataEntryRoundTrip(t *testing.T) {
 		e.group != 42 || e.chainLen != 1 || len(e.slots) != 2 {
 		t.Fatalf("decoded entry mismatch: %+v", e)
 	}
-	if e.slots[0] != (bitmapSlot{7, 0x3, 0xC}) {
+	if e.slots[0] != (opSlot{recIdx: 7, old: 0x3, new: 0xC}) {
 		t.Fatalf("slot mismatch: %+v", e.slots[0])
 	}
 	ml.retire(ctx, 3)
@@ -274,16 +274,16 @@ func TestMetadataEntryPartialFlushIs64Bytes(t *testing.T) {
 	ml := newMetaLog(dev, 0, 32)
 	ctx := sim.NewCtx(0, 1)
 	dev.ResetStats()
-	ml.commit(ctx, 0, 1, 0, 100, 100, []bitmapSlot{{1, 0, 1}}, 1, 0, 1, 0)
+	ml.commit(ctx, 0, entKindOp, 1, 0, 100, 100, []opSlot{{recIdx: 1, new: 1}}, 1, 0, 1, 0)
 	if w := dev.Stats().MediaWriteBytes.Load(); w != 64 {
 		t.Fatalf("1-slot entry flushed %d bytes, want 64 (partial flush)", w)
 	}
 	dev.ResetStats()
-	slots := make([]bitmapSlot, 5)
+	slots := make([]opSlot, 5)
 	for i := range slots {
-		slots[i] = bitmapSlot{recIdx: int64(i), new: 1}
+		slots[i] = opSlot{recIdx: int64(i), new: 1}
 	}
-	ml.commit(ctx, 1, 1, 0, 100, 100, slots, 2, 0, 1, 0)
+	ml.commit(ctx, 1, entKindOp, 1, 0, 100, 100, slots, 2, 0, 1, 0)
 	if w := dev.Stats().MediaWriteBytes.Load(); w != entrySize {
 		t.Fatalf("5-slot entry flushed %d bytes, want %d", w, entrySize)
 	}
@@ -294,7 +294,7 @@ func TestTornEntryRejected(t *testing.T) {
 	dev := nvm.New(1<<20, sim.ZeroCosts())
 	ml := newMetaLog(dev, 0, 32)
 	ctx := sim.NewCtx(0, 1)
-	ml.commit(ctx, 0, 1, 0, 100, 100, []bitmapSlot{{1, 0, 1}}, 1, 0, 1, 0)
+	ml.commit(ctx, 0, entKindOp, 1, 0, 100, 100, []opSlot{{recIdx: 1, new: 1}}, 1, 0, 1, 0)
 	// Corrupt one byte inside the flushed area.
 	dev.Write(ctx, []byte{0xFF}, ml.off(0)+20)
 	dev.Flush(ctx, ml.off(0)+20, 1)

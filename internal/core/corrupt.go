@@ -69,8 +69,8 @@ func CorruptDirectoryRecord(dev *nvm.Device, opts Options) (int64, error) {
 	if ck, ok := readCheckpointCell(dev, fs.ckptOff); ok {
 		epoch = uint8(ck.epoch) // not pre-checkpoint, so replay cannot skip it
 	}
-	fs.mlog.commit(ctx, entry, slot, 0, 8, 8,
-		[]bitmapSlot{{recIdx: victim, old: 0, new: 1}}, 0, 0, 1, epoch)
+	fs.mlog.commit(ctx, entry, entKindOp, slot, 0, 8, 8,
+		[]opSlot{{recIdx: victim, old: 0, new: 1}}, 0, 0, 1, epoch)
 	dev.Store8(ctx, fs.dir.off(victim)+recTag, 0)
 	dev.Fence(ctx)
 	return victim, nil

@@ -704,8 +704,8 @@ func TestCrashSweepCursorPublish(t *testing.T) {
 			group++
 			attempt[i] = group
 			delete(retired, i)
-			m.commit(ctx, i, w, int64(i)*4096, 4096, 1<<20,
-				[]bitmapSlot{{recIdx: int64(i), old: 1, new: 2}}, group, 0, 1, 1)
+			m.commit(ctx, i, entKindOp, w, int64(i)*4096, 4096, 1<<20,
+				[]opSlot{{recIdx: int64(i), old: 1, new: 2}}, group, 0, 1, 1)
 		}
 
 		crashed := nvm.Shield(func() {

@@ -17,17 +17,17 @@ func fuzzSeedEntries() [][]byte {
 	ctx := sim.NewCtx(0, 1)
 	m := newMetaLog(dev, 0, 16)
 
-	m.commit(ctx, 0, 3, 4096, 8192, 1<<20,
-		[]bitmapSlot{{recIdx: 7, old: 0x00ff, new: 0xff00}}, 9, 0, 1, 2) // 64-byte op
-	m.commit(ctx, 1, 5, 0, 64, 1<<16, []bitmapSlot{
+	m.commit(ctx, 0, entKindOp, 3, 4096, 8192, 1<<20,
+		[]opSlot{{recIdx: 7, old: 0x00ff, new: 0xff00}}, 9, 0, 1, 2) // 64-byte op
+	m.commit(ctx, 1, entKindOp, 5, 0, 64, 1<<16, []opSlot{
 		{recIdx: 1, old: 1, new: 3}, {recIdx: 2, old: 0, new: 1}, {recIdx: 3, old: 7, new: 0xf},
 		{recIdx: 4, old: 0, new: 0x10}, {recIdx: 5, old: 2, new: 6},
 	}, 12, 1, 2, 0) // 128-byte op chain member
-	m.commitSnap(ctx, 2, 4, 512, 1024, 1<<18,
-		[]snapSlot{{recIdx: 11, kind: snapSlotWord, old: 1, new: 3}}, 0, 0, 1, 1) // 64-byte snap-op
-	m.commitSnap(ctx, 3, 4, 0, 4096, 1<<18, []snapSlot{
-		{recIdx: 11, kind: snapSlotWord, old: 1, new: 3},
-		{recIdx: 12, kind: snapSlotLogSwap, logOff: 1 << 14},
+	m.commit(ctx, 2, entKindOpSnap, 4, 512, 1024, 1<<18,
+		[]opSlot{{recIdx: 11, kind: opSlotWord, old: 1, new: 3}}, 0, 0, 1, 1) // 64-byte snap-op
+	m.commit(ctx, 3, entKindOpSnap, 4, 0, 4096, 1<<18, []opSlot{
+		{recIdx: 11, kind: opSlotWord, old: 1, new: 3},
+		{recIdx: 12, kind: opSlotLogSwap, logOff: 1 << 14},
 	}, 7, 0, 1, 1) // 128-byte snap-op with a log swap
 	m.commitSnapshotMark(ctx, 4, entKindSnapCreate, 2, 9, 1<<12, 1)
 	m.commitSnapshotMark(ctx, 5, entKindSnapDrop, 2, 9, 0, 1)
@@ -45,12 +45,8 @@ func fuzzSeedEntries() [][]byte {
 // its checksum — the short-flush width commit actually persisted.
 func coveredBytes(e logEntry) int {
 	switch e.kind {
-	case entKindOp:
-		if len(e.slots) <= 2 {
-			return 64
-		}
-	case entKindOpSnap:
-		if len(e.snaps) <= 1 {
+	case entKindOp, entKindOpSnap:
+		if _, _, short := opEntryShape(e.kind); len(e.slots) <= short {
 			return 64
 		}
 	case entKindSnapCreate, entKindSnapDrop, entKindCursor:
@@ -98,6 +94,98 @@ func FuzzDecodeEntry(f *testing.F) {
 			if !fok || !reflect.DeepEqual(fe, e) {
 				t.Fatalf("flip at uncovered bit %d changed the decode (ok=%v)", bit, fok)
 			}
+		}
+	})
+}
+
+// fuzzOpSlots turns fuzz bytes into a canonical op-slot list, six bytes a
+// slot (at most 64 slots): a word flip carries only old/new, a log swap only
+// its log offset — exactly what the decoder reports back. Record indices
+// stay below 1<<16, so no encoded slot word can match opEntryPoison.
+func fuzzOpSlots(data []byte) []opSlot {
+	var slots []opSlot
+	for len(data) >= 6 && len(slots) < 64 {
+		b := data[:6]
+		data = data[6:]
+		s := opSlot{recIdx: int64(b[1]) | int64(b[2])<<8}
+		if b[0]&1 != 0 {
+			s.kind = opSlotLogSwap
+			s.logOff = (int64(b[3]) | int64(b[4])<<8 | int64(b[5])<<16) << 12
+		} else {
+			s.old = uint16(b[3]) | uint16(b[0]>>1)<<8
+			s.new = uint16(b[4]) | uint16(b[5])<<8
+		}
+		slots = append(slots, s)
+	}
+	return slots
+}
+
+// opEntryPoison pre-fills every log slot past its first 64 bytes, so an
+// entry that persisted only its first 64 bytes still shows the poison there.
+const opEntryPoison = 0xA5
+
+// FuzzOpEntryRoundTrip commits an arbitrary list of word-flip and log-swap
+// slots through the one chain committer (metaLog.commitOp), then decodes
+// every entry of the chain and reassembles it:
+//
+//   - the reassembled slots equal the input;
+//   - every entry is entKindOp exactly when no slot swaps a log;
+//   - the chain splits at entrySlots narrow or wideEntrySlots wide slots;
+//   - an entry persists only its first 64 bytes exactly when it holds at
+//     most two narrow or one wide slot.
+func FuzzOpEntryRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 7, 0, 1, 2, 0})
+	f.Add(bytes.Repeat([]byte{2, 9, 1, 3, 4, 5}, 3))
+	f.Add(bytes.Repeat([]byte{4, 1, 0, 0, 0xff, 0xff}, 11))
+	f.Add([]byte{1, 3, 0, 1, 0, 0})
+	f.Add(bytes.Repeat([]byte{0, 5, 0, 1, 2, 3, 1, 5, 0, 9, 0, 0}, 6))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		slots := fuzzOpSlots(data)
+		dev := nvm.New(1<<20, sim.ZeroCosts())
+		ctx := sim.NewCtx(0, 1)
+		m := newMetaLog(dev, 0, metaAreas*metaAreaSlots)
+		poison := bytes.Repeat([]byte{opEntryPoison}, entrySize-64)
+		for i := 0; i < m.entries; i++ {
+			dev.WriteNT(ctx, poison, m.off(i)+64)
+		}
+		dev.Fence(ctx)
+
+		kind := entKindOp
+		for _, s := range slots {
+			if s.kind == opSlotLogSwap {
+				kind = entKindOpSnap
+			}
+		}
+		per, _, short := opEntryShape(kind)
+		chainLen := max(1, (len(slots)+per-1)/per)
+
+		entry := m.claim(ctx, 0)
+		extra := m.commitOp(ctx, entry, 0, 3, 4096, int64(len(data))+1, 1<<20, slots, 77, 5)
+		if len(extra)+1 != chainLen {
+			t.Fatalf("%d slots of kind %d: chain of %d entries, want %d", len(slots), kind, len(extra)+1, chainLen)
+		}
+		var got []opSlot
+		for ci, i := range append([]int{entry}, extra...) {
+			raw := dev.Inspect(m.off(i), entrySize)
+			e, ok := decodeEntry(raw)
+			if !ok {
+				t.Fatalf("chain entry %d does not decode", ci)
+			}
+			if e.kind != kind || e.chainIdx != ci || e.chainLen != chainLen || e.group != 77 || e.epoch != 5 {
+				t.Fatalf("chain entry %d: kind %d idx %d/%d group %d epoch %d", ci, e.kind, e.chainIdx, e.chainLen, e.group, e.epoch)
+			}
+			if want := min(per, len(slots)-ci*per); len(e.slots) != want {
+				t.Fatalf("chain entry %d holds %d slots, want %d", ci, len(e.slots), want)
+			}
+			if isShort := bytes.Equal(raw[64:], poison); isShort != (len(e.slots) <= short) {
+				t.Fatalf("chain entry %d (%d slots, kind %d): short flush %v", ci, len(e.slots), kind, isShort)
+			}
+			got = append(got, e.slots...)
+		}
+		if len(got) != len(slots) || (len(got) > 0 && !reflect.DeepEqual(got, slots)) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, slots)
 		}
 	})
 }

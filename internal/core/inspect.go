@@ -173,10 +173,9 @@ func Inspect(dev *nvm.Device, opts Options) (string, error) {
 			continue
 		}
 		live++
-		slots := len(e.slots) + len(e.snaps)
 		liveLines = append(liveLines, fmt.Sprintf(
 			"  entry %-3d kind=%-11s file-slot=%d off=%d len=%d size=%d slots=%d chain=%d/%d group=%d",
-			i, kindName[e.kind], e.fileSlot, e.offset, e.length, e.fileSize, slots, e.chainIdx+1, e.chainLen, e.group))
+			i, kindName[e.kind], e.fileSlot, e.offset, e.length, e.fileSize, len(e.slots), e.chainIdx+1, e.chainLen, e.group))
 	}
 	fmt.Fprintf(&b, "\nmetadata log: %d entries, %d live (uncommitted or unreplayed), %d area cursors\n",
 		fs.mlog.entries, live, cursors)

@@ -22,8 +22,9 @@ type opLocks struct {
 }
 
 // lockOp acquires isolation for an operation over segments (already in
-// offset order): file-level lock, greedy single lock, or the full MGL plan
-// (intentions on ancestors top-down, then R/W on targets in offset order).
+// offset order; a node may repeat in adjacent segments): file-level lock,
+// greedy single lock, or the full MGL plan (intentions on ancestors
+// top-down, then R/W on targets in offset order).
 func (f *file) lockOp(ctx *sim.Ctx, start *node, segs []segment, write bool) *opLocks {
 	began := ctx.Now()
 	ol := &opLocks{write: write}
@@ -71,7 +72,10 @@ func (f *file) lockOp(ctx *sim.Ctx, start *node, segs []segment, write bool) *op
 	for _, a := range ancestors {
 		f.acquireIntent(ctx, a, intent, ol)
 	}
-	for _, s := range segs {
+	for i, s := range segs {
+		if i > 0 && segs[i-1].n == s.n {
+			continue // several updates in one leaf: W locks are not reentrant
+		}
 		f.lockCoarse(ctx, s.n, mode, ol)
 	}
 	f.fs.hMGLAcq.Observe(ctx.Now() - began)

@@ -22,12 +22,12 @@ import (
 // the same scan.
 
 const (
-	recSize    = 64
-	recTag     = 0
-	recLogOff  = 8
-	recWord    = 16
-	recBirth   = 24 // global snapshot sequence when the record was created
-	recSnapID  = 32 // pin records: the snapshot sequence the pin freezes up to
+	recSize   = 64
+	recTag    = 0
+	recLogOff = 8
+	recWord   = 16
+	recBirth  = 24 // global snapshot sequence when the record was created
+	recSnapID = 32 // pin records: the snapshot sequence the pin freezes up to
 
 	tagInUse = uint64(1) << 63
 	// tagSnap marks a snapshot pin record: a frozen (logOff, word) copy of a
@@ -156,7 +156,7 @@ const (
 	entSize   = 24
 	entMeta   = 32 // count(8b) | chainIdx(8b) | chainLen(8b) | epoch(8b) | group(32b)
 	entCksum  = 40
-	entData   = 48 // 10 slots x 8 bytes (16 bytes for snap-op slots)
+	entData   = 48 // 10 slots x 8 bytes (5 x 16 bytes in the wide format)
 )
 
 // Entry kinds, packed into the high byte of the entSlot word (file slots
@@ -191,32 +191,40 @@ const (
 	metaAreaOpSlots = metaAreaSlots - 1
 )
 
-// Snap-op slot kinds (entKindOpSnap entries).
+// Op-slot kinds. Both op-entry encodings carry the same slot list: the
+// narrow entKindOp format (8-byte slots, entrySlots per entry) holds word
+// transitions only; the wide entKindOpSnap format (16-byte slots,
+// wideEntrySlots per entry) also holds log swaps.
 const (
-	snapSlotWord    = 0 // bitmap word transition, like bitmapSlot
-	snapSlotLogSwap = 1 // record's private log replaced by a fresh block
+	opSlotWord    = 0 // bitmap word transition
+	opSlotLogSwap = 1 // record's private log replaced by a fresh block
 )
 
-// snapOpSlots is the 16-byte-slot capacity of one entKindOpSnap entry.
-const snapOpSlots = 5
+// wideEntrySlots is the 16-byte-slot capacity of one entKindOpSnap entry.
+const wideEntrySlots = 5
 
-// snapSlot is one 16-byte slot of an entKindOpSnap entry: a word transition
-// (kind snapSlotWord) or a private-log replacement (kind snapSlotLogSwap,
-// payload = the new log offset). Copy-on-write commits need both for one
-// node, atomically, which is why these ops use the wide format.
-type snapSlot struct {
+// opSlot is one metadata-log slot of an operation: a node's bitmap word
+// transition (kind opSlotWord: the old word for undo, the new word for
+// redo; only valid bits need recording, existing bits are recovered as safe
+// over-approximations) or a private-log replacement (kind opSlotLogSwap:
+// the new log offset). A copy-on-write commit needs both for one node,
+// atomically, which is what the wide encoding is for.
+type opSlot struct {
 	recIdx   int64
 	kind     int
 	old, new uint16
 	logOff   int64
 }
 
-// bitmapSlot records one node's bitmap transition: the record index, the
-// old word (undo) and the new word (redo). Only valid bits need recording;
-// existing bits are recovered as safe over-approximations.
-type bitmapSlot struct {
-	recIdx   int64
-	old, new uint16
+// opEntryShape returns an op-entry encoding's slot capacity, slot stride
+// and short-flush limit: entries with at most short slots persist only
+// their first 64 bytes ("MGSP will only flush part of one metadata log
+// entry").
+func opEntryShape(kind int) (slots, stride, short int) {
+	if kind == entKindOpSnap {
+		return wideEntrySlots, 16, 1
+	}
+	return entrySlots, 8, 2
 }
 
 // metaLog is the fixed array of 128-byte entries organized into per-worker
@@ -426,69 +434,79 @@ func (m *metaLog) floorHW(i int) {
 	}
 }
 
-// commit persists one entry of an operation's chain: header + slots +
-// checksum, flushing only the first 64 bytes when two or fewer bitmap slots
-// are used ("MGSP will only flush part of one metadata log entry"). Most
-// operations need a single entry; ops whose decomposition touches more than
-// ten nodes chain several, identified by a group id, and the chain commits
-// atomically because entries persist in order and recovery only applies
+// commitOp persists one operation's slots as its metadata-log entry chain
+// and returns the extra entries the chain claimed, for the caller to retire
+// once the slots are applied. The chain uses the narrow entKindOp encoding
+// unless a slot swaps a log, then the wide entKindOpSnap one. Most
+// operations need a single entry; ops whose slots overflow one entry chain
+// several, identified by a group id, and the chain commits atomically:
+// entries persist in order, the first entry last, and recovery only applies
 // complete chains.
-func (m *metaLog) commit(ctx *sim.Ctx, i int, fileSlot int, offset, length, fileSize int64,
-	slots []bitmapSlot, group uint32, chainIdx, chainLen int, epoch uint8) {
-	if len(slots) > entrySlots {
-		panic(fmt.Sprintf("core: %d bitmap slots exceed the %d per entry", len(slots), entrySlots))
+func (m *metaLog) commitOp(ctx *sim.Ctx, entry, worker, fileSlot int, offset, length, fileSize int64,
+	slots []opSlot, group uint32, epoch uint8) []int {
+	kind := entKindOp
+	for _, s := range slots {
+		if s.kind == opSlotLogSwap {
+			kind = entKindOpSnap
+			break
+		}
 	}
-	var buf [entrySize]byte
-	binary.LittleEndian.PutUint64(buf[entLen:], uint64(length))
-	binary.LittleEndian.PutUint64(buf[entSlot:], uint64(fileSlot))
-	binary.LittleEndian.PutUint64(buf[entOffset:], uint64(offset))
-	binary.LittleEndian.PutUint64(buf[entSize:], uint64(fileSize))
-	meta := uint64(len(slots)) | uint64(chainIdx)<<8 | uint64(chainLen)<<16 |
-		uint64(epoch)<<24 | uint64(group)<<32
-	binary.LittleEndian.PutUint64(buf[entMeta:], meta)
-	for k, s := range slots {
-		binary.LittleEndian.PutUint64(buf[entData+k*8:],
-			uint64(uint32(s.recIdx))|uint64(s.old)<<32|uint64(s.new)<<48)
+	per, _, _ := opEntryShape(kind)
+	chainLen := (len(slots) + per - 1) / per
+	if chainLen == 0 {
+		chainLen = 1
 	}
-	n := entrySize
-	if len(slots) <= 2 {
-		n = 64
+	extra := make([]int, 0, chainLen-1)
+	for i := 1; i < chainLen; i++ {
+		e := m.claim(ctx, worker+i)
+		extra = append(extra, e)
+		m.commit(ctx, e, kind, fileSlot, offset, length, fileSize,
+			slots[i*per:min((i+1)*per, len(slots))], group, i, chainLen, epoch)
 	}
-	binary.LittleEndian.PutUint64(buf[entCksum:], entryChecksum(buf[:n]))
-	m.dev.WriteNT(ctx, buf[:n], m.off(i))
-	m.dev.Fence(ctx)
+	// The first entry persists last: it completes the chain, making it the
+	// commit point.
+	m.commit(ctx, entry, kind, fileSlot, offset, length, fileSize,
+		slots[:min(per, len(slots))], group, 0, chainLen, epoch)
+	return extra
 }
 
-// commitSnap persists one entry of a snapshot-mode operation chain: same
-// header layout as commit, but kind entKindOpSnap with 16-byte slots so a
-// copy-on-write log swap (new log offset) can ride in the same atomic entry
-// as the node's word flip.
-func (m *metaLog) commitSnap(ctx *sim.Ctx, i int, fileSlot int, offset, length, fileSize int64,
-	slots []snapSlot, group uint32, chainIdx, chainLen int, epoch uint8) {
-	if len(slots) > snapOpSlots {
-		panic(fmt.Sprintf("core: %d snap slots exceed the %d per entry", len(slots), snapOpSlots))
+// commit persists one entry of an operation's chain in op-entry encoding
+// kind (entKindOp or entKindOpSnap): header + slots + checksum, flushing
+// only the first 64 bytes when the slots fit the encoding's short-flush
+// limit.
+func (m *metaLog) commit(ctx *sim.Ctx, i, kind, fileSlot int, offset, length, fileSize int64,
+	slots []opSlot, group uint32, chainIdx, chainLen int, epoch uint8) {
+	per, stride, short := opEntryShape(kind)
+	if len(slots) > per {
+		panic(fmt.Sprintf("core: %d slots exceed the %d per entry", len(slots), per))
 	}
 	var buf [entrySize]byte
 	binary.LittleEndian.PutUint64(buf[entLen:], uint64(length))
-	binary.LittleEndian.PutUint64(buf[entSlot:], uint64(fileSlot)|uint64(entKindOpSnap)<<56)
+	binary.LittleEndian.PutUint64(buf[entSlot:], uint64(fileSlot)|uint64(kind)<<56)
 	binary.LittleEndian.PutUint64(buf[entOffset:], uint64(offset))
 	binary.LittleEndian.PutUint64(buf[entSize:], uint64(fileSize))
 	meta := uint64(len(slots)) | uint64(chainIdx)<<8 | uint64(chainLen)<<16 |
 		uint64(epoch)<<24 | uint64(group)<<32
 	binary.LittleEndian.PutUint64(buf[entMeta:], meta)
 	for k, s := range slots {
-		binary.LittleEndian.PutUint64(buf[entData+k*16:],
-			uint64(uint32(s.recIdx))|uint64(s.kind)<<32)
-		var payload uint64
-		if s.kind == snapSlotLogSwap {
-			payload = uint64(s.logOff)
-		} else {
-			payload = uint64(s.old) | uint64(s.new)<<16
+		at := entData + k*stride
+		if kind == entKindOp {
+			if s.kind != opSlotWord {
+				panic("core: a log swap in a narrow op entry")
+			}
+			binary.LittleEndian.PutUint64(buf[at:],
+				uint64(uint32(s.recIdx))|uint64(s.old)<<32|uint64(s.new)<<48)
+			continue
 		}
-		binary.LittleEndian.PutUint64(buf[entData+k*16+8:], payload)
+		binary.LittleEndian.PutUint64(buf[at:], uint64(uint32(s.recIdx))|uint64(s.kind)<<32)
+		payload := uint64(s.old) | uint64(s.new)<<16
+		if s.kind == opSlotLogSwap {
+			payload = uint64(s.logOff)
+		}
+		binary.LittleEndian.PutUint64(buf[at+8:], payload)
 	}
 	n := entrySize
-	if len(slots) <= 1 {
+	if len(slots) <= short {
 		n = 64
 	}
 	binary.LittleEndian.PutUint64(buf[entCksum:], entryChecksum(buf[:n]))
@@ -548,8 +566,7 @@ type logEntry struct {
 	offset   int64 // snapshot entries: the snapshot sequence number
 	length   int64
 	fileSize int64
-	slots    []bitmapSlot
-	snaps    []snapSlot // entKindOpSnap only
+	slots    []opSlot
 	group    uint32
 	chainIdx int
 	chainLen int
@@ -624,20 +641,13 @@ func decodeEntry(b []byte) (e logEntry, ok bool) {
 	count := int(meta & 0xFF)
 	var n int
 	switch e.kind {
-	case entKindOp:
-		if count > entrySlots {
+	case entKindOp, entKindOpSnap:
+		per, _, short := opEntryShape(e.kind)
+		if count > per {
 			return e, false
 		}
 		n = entrySize
-		if count <= 2 {
-			n = 64
-		}
-	case entKindOpSnap:
-		if count > snapOpSlots {
-			return e, false
-		}
-		n = entrySize
-		if count <= 1 {
+		if count <= short {
 			n = 64
 		}
 	case entKindSnapCreate, entKindSnapDrop:
@@ -665,26 +675,23 @@ func decodeEntry(b []byte) (e logEntry, ok bool) {
 	e.chainLen = int(meta >> 16 & 0xFF)
 	e.epoch = uint8(meta >> 24)
 	e.group = uint32(meta >> 32)
+	_, stride, _ := opEntryShape(e.kind)
 	for k := 0; k < count; k++ {
-		if e.kind == entKindOpSnap {
-			a := binary.LittleEndian.Uint64(b[entData+k*16:])
-			p := binary.LittleEndian.Uint64(b[entData+k*16+8:])
-			s := snapSlot{recIdx: int64(uint32(a)), kind: int(a >> 32 & 0xFF)}
-			if s.kind == snapSlotLogSwap {
+		at := entData + k*stride
+		w := binary.LittleEndian.Uint64(b[at:])
+		s := opSlot{recIdx: int64(uint32(w))}
+		if e.kind == entKindOp {
+			s.old, s.new = uint16(w>>32), uint16(w>>48)
+		} else {
+			p := binary.LittleEndian.Uint64(b[at+8:])
+			s.kind = int(w >> 32 & 0xFF)
+			if s.kind == opSlotLogSwap {
 				s.logOff = int64(p)
 			} else {
-				s.old = uint16(p)
-				s.new = uint16(p >> 16)
+				s.old, s.new = uint16(p), uint16(p>>16)
 			}
-			e.snaps = append(e.snaps, s)
-			continue
 		}
-		w := binary.LittleEndian.Uint64(b[entData+k*8:])
-		e.slots = append(e.slots, bitmapSlot{
-			recIdx: int64(uint32(w)),
-			old:    uint16(w >> 32),
-			new:    uint16(w >> 48),
-		})
+		e.slots = append(e.slots, s)
 	}
 	return e, true
 }

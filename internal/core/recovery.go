@@ -234,19 +234,11 @@ func Mount(ctx *sim.Ctx, dev *nvm.Device, opts Options) (*FS, error) {
 				if n == nil {
 					return nil, fmt.Errorf("core: metadata entry references unknown record %d", s.recIdx)
 				}
-				n.word.Store(uint64(s.new))
-				fs.dir.setWord(ctx, s.recIdx, uint64(s.new))
-			}
-			for _, s := range e.snaps {
-				n := nodes[s.recIdx]
-				if n == nil {
-					return nil, fmt.Errorf("core: metadata entry references unknown record %d", s.recIdx)
-				}
 				switch s.kind {
-				case snapSlotWord:
+				case opSlotWord:
 					n.word.Store(uint64(s.new))
 					fs.dir.setWord(ctx, s.recIdx, uint64(s.new))
-				case snapSlotLogSwap:
+				case opSlotLogSwap:
 					// Complete the copy-on-write relocation: repoint the
 					// record at the fresh block (crashed before the swap was
 					// applied) or do nothing (the record already points

@@ -229,10 +229,12 @@ func (f *file) lastValidLog(n *node) *node {
 
 // segment is a resolved covering target: the byte range [lo, hi) of the
 // file handled at node n (n spans exactly [lo,hi) unless n is a leaf
-// handling a partial range).
+// handling a partial range). A write's segments carry their new bytes in
+// data.
 type segment struct {
 	n      *node
 	lo, hi int64
+	data   []byte
 }
 
 // cover decomposes [lo, hi) into maximal aligned node targets, creating

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mgsp/internal/obs"
 	"mgsp/internal/sim"
+	"mgsp/internal/vfs"
 )
 
 // dataWrite is one pending shadow-log store: data to be written at absolute
@@ -32,21 +35,58 @@ type wordChange struct {
 	oldLogOff int64
 }
 
-// WriteAt implements vfs.File: one failure-atomic MGSP write (§III-D).
+// Update is one range of a multi-range atomic write.
+type Update struct {
+	Off  int64
+	Data []byte
+}
+
+// WriteAt implements vfs.File: one failure-atomic MGSP write (§III-D), the
+// one-update case of the write commit.
 func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if err := h.guard(); err != nil {
 		return 0, err
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("core: negative offset %d", off)
+	if err := vfs.CheckWrite(off, len(p)); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	if len(p) == 0 {
 		return 0, nil
 	}
-	f := h.f
+	if err := h.f.write(ctx, []Update{{Off: off, Data: p}}, h.f.fs.hWrite, obs.OpWrite); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// WriteMulti applies several discontiguous updates as ONE failure-atomic
+// operation: all ranges become visible together or not at all. This is the
+// transaction-level atomicity the paper lists as future work (§IV-D: "we
+// hope to add related designs in future work so that existing database
+// software can obtain corresponding performance gains without
+// modification") — it falls out of MGSP's commit protocol naturally, since
+// a metadata-log entry chain can carry the bitmap flips of any number of
+// shadowed ranges and commits with a single entry persist. Empty updates
+// are skipped; a call with nothing to write changes nothing.
+func (h *handle) WriteMulti(ctx *sim.Ctx, updates []Update) error {
+	if err := h.guard(); err != nil {
+		return err
+	}
+	return h.f.write(ctx, updates, h.f.fs.hWritev, obs.OpWriteMulti)
+}
+
+// write is MGSP's one write commit: shadow data writes, one fence, then one
+// metadata-log entry chain whose bitmap flips are the commit point (§III-B,
+// §III-C1, §III-D), for any number of disjoint updates. hist and kind are
+// the calling entry point's latency histogram and trace kind.
+func (f *file) write(ctx *sim.Ctx, updates []Update, hist *obs.Histogram, kind obs.Op) error {
+	lo, end, total, err := writeExtent(updates)
+	if err != nil || total == 0 {
+		return err
+	}
 	fs := f.fs
 	fs.stats.Writes.Add(ctx.ID, 1)
-	fs.stats.UserWriteBytes.Add(ctx.ID, int64(len(p)))
+	fs.stats.UserWriteBytes.Add(ctx.ID, total)
 	began := ctx.Now()
 	// Enter the in-flight window (checkpoint quiesce) first; the deferred
 	// exit runs after the lock release below (LIFO), so the cleaner's
@@ -56,20 +96,31 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// Drain optimistic readers before mutating anything they might copy.
 	f.writerEnter()
 	defer f.writerExit()
-	end := off + int64(len(p))
 
 	// Make room: file capacity (underlying fallocate+mmap) and tree height.
 	if err := f.pf.EnsureCapacity(ctx, end); err != nil {
-		return 0, err
+		return err
 	}
 	f.ensureTree(ctx, f.pf.Capacity())
 
 	// Claim a private metadata log entry (lock-free, §III-C1).
 	entry := fs.mlog.claim(ctx, ctx.ID)
 
-	// Locate targets (Algorithm 1's traversal) and lock (§III-C2).
-	start := f.searchStart(ctx, off, end)
-	segs := f.cover(ctx, start, off, end, nil)
+	// Locate targets (Algorithm 1's traversal) from the node covering the
+	// whole extent, sort them into offset order, and lock (§III-C2).
+	start := f.searchStart(ctx, lo, end)
+	var segs []segment
+	for _, u := range updates {
+		if len(u.Data) == 0 {
+			continue
+		}
+		k := len(segs)
+		segs = f.cover(ctx, start, u.Off, u.Off+int64(len(u.Data)), segs)
+		for i := k; i < len(segs); i++ {
+			segs[i].data = u.Data[segs[i].lo-u.Off : segs[i].hi-u.Off]
+		}
+	}
+	slices.SortFunc(segs, func(a, b segment) int { return cmp.Compare(a.lo, b.lo) })
 	locks := f.lockOp(ctx, start, segs, true)
 	defer f.release(ctx, locks)
 
@@ -77,24 +128,33 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// descendants on the way (§III-B2).
 	f.setExistingPath(ctx, ancestorsOf(segs))
 
-	// Plan: per-target shadow-log destination, data writes, word changes.
+	// Plan, in offset order: per-target shadow-log destination, data writes,
+	// word changes. The parts of one leaf sit next to each other in the
+	// sorted cover, so each leaf is planned once over all of them: every
+	// sub-unit toggles exactly once per operation.
 	var writes []dataWrite
 	var changes []wordChange
-	for _, s := range segs {
-		if s.n.leaf {
-			var err error
-			writes, changes, err = f.planLeaf(ctx, s, p[s.lo-off:s.hi-off], writes, changes)
+	for i := 0; i < len(segs); {
+		if !segs[i].n.leaf {
+			w, c, err := f.planInterior(ctx, segs[i])
 			if err != nil {
-				return 0, err
-			}
-		} else {
-			w, c, err := f.planInterior(ctx, s, p[s.lo-off:s.hi-off])
-			if err != nil {
-				return 0, err
+				return err
 			}
 			writes = append(writes, w)
 			changes = append(changes, c)
+			i++
+			continue
 		}
+		j := i + 1
+		for j < len(segs) && segs[j].n == segs[i].n {
+			j++
+		}
+		var err error
+		writes, changes, err = f.planLeafRanges(ctx, segs[i:j], writes, changes)
+		if err != nil {
+			return err
+		}
+		i = j
 	}
 
 	// Shadow-data phase: every store lands in a location that is not the
@@ -104,13 +164,9 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	}
 	fs.dev.Fence(ctx)
 
-	// Commit: persist the metadata log entry (chained if >10 slots), then
-	// apply the bitmap words.
-	newSize := f.size.Load()
-	if end > newSize {
-		newSize = end
-	}
-	f.commitChanges(ctx, entry, off, int64(len(p)), newSize, changes)
+	// Commit: persist the metadata log entry chain, then apply the changes.
+	newSize := max(f.size.Load(), end)
+	f.commitChanges(ctx, entry, lo, end-lo, newSize, changes)
 
 	// Publish the new size (also recorded in the entry for recovery).
 	// Deferred unlock: SetSize persists the size word (a media op), and a
@@ -130,35 +186,70 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if fs.pcache != nil {
 		// Committed: bring overlapping frames up to date while the W locks
 		// still exclude readers (release is deferred).
-		f.patchFrames(p, off)
-	}
-	f.updateMinSearch(off, end)
-	dur := ctx.Now() - began
-	fs.hWrite.Observe(dur)
-	fs.trace.Record(ctx.ID, obs.OpWrite, f.pf.Slot(), off, int64(len(p)), dur)
-	return len(p), nil
-}
-
-// commitChanges writes the metadata-log entry chain and applies the words.
-func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64, changes []wordChange) {
-	fs := f.fs
-	for _, c := range changes {
-		if c.newLogOff != 0 {
-			f.commitChangesSnap(ctx, entry, off, length, newSize, changes)
-			return
+		for _, u := range updates {
+			if len(u.Data) > 0 {
+				f.patchFrames(u.Data, u.Off)
+			}
 		}
 	}
-	slots := make([]bitmapSlot, len(changes))
-	for i, c := range changes {
+	f.updateMinSearch(lo, end)
+	dur := ctx.Now() - began
+	hist.Observe(dur)
+	fs.trace.Record(ctx.ID, kind, f.pf.Slot(), lo, end-lo, dur)
+	return nil
+}
+
+// writeExtent validates a write's updates and returns the extent [lo, end)
+// of the non-empty ones and their total size; total 0 means there is
+// nothing to write. Empty updates are skipped before any check.
+func writeExtent(updates []Update) (lo, end, total int64, err error) {
+	for _, u := range updates {
+		if len(u.Data) == 0 {
+			continue
+		}
+		if err := vfs.CheckWrite(u.Off, len(u.Data)); err != nil {
+			return 0, 0, 0, fmt.Errorf("core: %w", err)
+		}
+		if total == 0 || u.Off < lo {
+			lo = u.Off
+		}
+		end = max(end, u.Off+int64(len(u.Data)))
+		total += int64(len(u.Data))
+	}
+	for i, u := range updates {
+		for _, v := range updates[i+1:] {
+			if len(u.Data) > 0 && len(v.Data) > 0 &&
+				u.Off < v.Off+int64(len(v.Data)) && v.Off < u.Off+int64(len(u.Data)) {
+				return 0, 0, 0, fmt.Errorf("core: overlapping updates at %d and %d", u.Off, v.Off)
+			}
+		}
+	}
+	return lo, end, total, nil
+}
+
+// commitChanges persists the operation's metadata-log entry chain — the
+// commit point — then applies the changes: bitmap words, copy-on-write log
+// swaps (record logOff updated, node repointed), and the release of each
+// swapped-out block's live reference. Snapshot pins keep such a block
+// alive for as long as any frozen view still reads it.
+func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64, changes []wordChange) {
+	fs := f.fs
+	n := len(changes)
+	for _, c := range changes {
+		if c.newLogOff != 0 {
+			n++
+		}
+	}
+	slots := make([]opSlot, 0, n)
+	for _, c := range changes {
 		idx := c.n.recIdx.Load()
 		if idx < 0 {
 			panic("core: committing a node without a record")
 		}
-		slots[i] = bitmapSlot{recIdx: idx, old: uint16(c.old), new: uint16(c.new)}
-	}
-	chainLen := (len(slots) + entrySlots - 1) / entrySlots
-	if chainLen == 0 {
-		chainLen = 1
+		slots = append(slots, opSlot{recIdx: idx, old: uint16(c.old), new: uint16(c.new)})
+		if c.newLogOff != 0 {
+			slots = append(slots, opSlot{recIdx: idx, kind: opSlotLogSwap, logOff: c.newLogOff})
+		}
 	}
 	group := fs.opSeq.Add(1)
 	// Stamp the current cleaner epoch (0 forever while the cleaner is off).
@@ -166,83 +257,8 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 	// op to retire, so an entry can never carry an epoch older than a
 	// checkpoint that excludes it.
 	epoch := uint8(fs.epoch.Load())
-	extra := make([]int, 0, chainLen-1)
-	for i := 1; i < chainLen; i++ {
-		e := fs.mlog.claim(ctx, ctx.ID+i)
-		extra = append(extra, e)
-		lo := i * entrySlots
-		hi := lo + entrySlots
-		if hi > len(slots) {
-			hi = len(slots)
-		}
-		fs.mlog.commit(ctx, e, f.pf.Slot(), off, length, newSize, slots[lo:hi], group, i, chainLen, epoch)
-	}
-	first := slots
-	if len(first) > entrySlots {
-		first = first[:entrySlots]
-	}
-	// The first entry persists last: it completes the chain, making it the
-	// commit point.
-	fs.mlog.commit(ctx, entry, f.pf.Slot(), off, length, newSize, first, group, 0, chainLen, epoch)
-	fs.stats.MetaEntries.Add(ctx.ID, int64(chainLen))
-
-	for _, c := range changes {
-		c.n.word.Store(c.new)
-		fs.dir.setWord(ctx, c.n.recIdx.Load(), c.new)
-		if c.markStale {
-			c.n.stale.Store(true)
-		}
-	}
-	for _, e := range extra {
-		fs.mlog.retire(ctx, e)
-	}
-}
-
-// commitChangesSnap commits an operation that includes copy-on-write log
-// swaps, using the wide entKindOpSnap format: each node contributes a word
-// slot, plus a log-swap slot when its private log was relocated, and the
-// chain commits atomically (first entry last). After the commit point the
-// swaps are applied (record logOff updated, node repointed) and the old
-// blocks' live references released — snapshot pins keep them alive for as
-// long as any frozen view still reads them.
-func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize int64, changes []wordChange) {
-	fs := f.fs
-	slots := make([]snapSlot, 0, len(changes)+2)
-	for _, c := range changes {
-		idx := c.n.recIdx.Load()
-		if idx < 0 {
-			panic("core: committing a node without a record")
-		}
-		slots = append(slots, snapSlot{recIdx: idx, kind: snapSlotWord,
-			old: uint16(c.old), new: uint16(c.new)})
-		if c.newLogOff != 0 {
-			slots = append(slots, snapSlot{recIdx: idx, kind: snapSlotLogSwap,
-				logOff: c.newLogOff})
-		}
-	}
-	chainLen := (len(slots) + snapOpSlots - 1) / snapOpSlots
-	if chainLen == 0 {
-		chainLen = 1
-	}
-	group := fs.opSeq.Add(1)
-	epoch := uint8(fs.epoch.Load())
-	extra := make([]int, 0, chainLen-1)
-	for i := 1; i < chainLen; i++ {
-		e := fs.mlog.claim(ctx, ctx.ID+i)
-		extra = append(extra, e)
-		lo := i * snapOpSlots
-		hi := lo + snapOpSlots
-		if hi > len(slots) {
-			hi = len(slots)
-		}
-		fs.mlog.commitSnap(ctx, e, f.pf.Slot(), off, length, newSize, slots[lo:hi], group, i, chainLen, epoch)
-	}
-	first := slots
-	if len(first) > snapOpSlots {
-		first = first[:snapOpSlots]
-	}
-	fs.mlog.commitSnap(ctx, entry, f.pf.Slot(), off, length, newSize, first, group, 0, chainLen, epoch)
-	fs.stats.MetaEntries.Add(ctx.ID, int64(chainLen))
+	extra := fs.mlog.commitOp(ctx, entry, ctx.ID, f.pf.Slot(), off, length, newSize, slots, group, epoch)
+	fs.stats.MetaEntries.Add(ctx.ID, int64(len(extra)+1))
 
 	for _, c := range changes {
 		c.n.word.Store(c.new)
@@ -284,7 +300,7 @@ func (f *file) writeTo(ctx *sim.Ctx, w dataWrite) {
 // goes there (redo role); if it is, the new data goes to the fallback
 // (nearest valid ancestor's log, or the file) and the node's bit flips off
 // (undo role) — either way exactly one data write (§III-B1, Figure 3).
-func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wordChange, error) {
+func (f *file) planInterior(ctx *sim.Ctx, s segment) (dataWrite, wordChange, error) {
 	n := s.n
 	f.touchNode(n)
 	snap := f.maxLiveSnap.Load() != 0
@@ -304,7 +320,7 @@ func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wo
 			return dataWrite{}, wordChange{}, err
 		}
 		f.fs.stats.SnapshotCoWRewrites.Add(1)
-		return dataWrite{dst: n, abs: s.lo, data: data, logOff: newOff},
+		return dataWrite{dst: n, abs: s.lo, data: s.data, logOff: newOff},
 			wordChange{n: n, old: old, new: bitValid, markStale: old&bitExisting != 0,
 				newLogOff: newOff, oldLogOff: n.logOff},
 			nil
@@ -323,30 +339,19 @@ func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wo
 		newWord = bitValid
 		f.fs.stats.ToggleToLog.Add(1)
 	}
-	return dataWrite{dst: dst, abs: s.lo, data: data},
+	return dataWrite{dst: dst, abs: s.lo, data: s.data},
 		wordChange{n: n, old: old, new: newWord, markStale: old&bitExisting != 0},
 		nil
 }
 
-// rangeData is one disjoint byte range of new data within a leaf.
-type rangeData struct {
-	lo, hi int64
-	data   []byte
-}
-
-// planLeaf handles a leaf target: per-sub-unit shadow toggles with
+// planLeafRanges plans one leaf's shadow toggle: per-sub-unit toggles with
 // read-modify-write completion for partially covered units ("there will
-// still be some redundant writes if the write is not aligned").
-func (f *file) planLeaf(ctx *sim.Ctx, s segment, data []byte,
+// still be some redundant writes if the write is not aligned"). run holds
+// the leaf's segments in offset order — one per update landing in it — and
+// each sub-unit toggles exactly once per operation.
+func (f *file) planLeafRanges(ctx *sim.Ctx, run []segment,
 	writes []dataWrite, changes []wordChange) ([]dataWrite, []wordChange, error) {
-	return f.planLeafRanges(ctx, s.n, []rangeData{{s.lo, s.hi, data}}, writes, changes)
-}
-
-// planLeafRanges plans one leaf's shadow toggle for any number of disjoint
-// new-data ranges (WriteMulti may land several updates in one leaf; each
-// sub-unit must toggle exactly once per operation).
-func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
-	writes []dataWrite, changes []wordChange) ([]dataWrite, []wordChange, error) {
+	n := run[0].n
 	f.touchNode(n)
 	snap := f.maxLiveSnap.Load() != 0
 	if snap {
@@ -375,7 +380,7 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 					continue
 				}
 				ulo, uhi := base+u*unit, base+(u+1)*unit
-				for _, r := range ranges {
+				for _, r := range run {
 					if r.lo < uhi && ulo < r.hi {
 						need = true
 						break
@@ -400,23 +405,20 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 		ulo := base + u*unit
 		uhi := ulo + unit
 		bit := uint64(1) << uint(u)
-		// Collect the ranges intersecting this unit.
-		var hit []rangeData
-		covered := int64(0)
-		for _, r := range ranges {
+		// Count the segments intersecting this unit and how much of it they
+		// cover.
+		hits, covered := 0, int64(0)
+		var first segment
+		for _, r := range run {
 			if r.lo < uhi && ulo < r.hi {
-				hit = append(hit, r)
-				lo, hi := r.lo, r.hi
-				if lo < ulo {
-					lo = ulo
+				if hits == 0 {
+					first = r
 				}
-				if hi > uhi {
-					hi = uhi
-				}
-				covered += hi - lo
+				hits++
+				covered += min(r.hi, uhi) - max(r.lo, ulo)
 			}
 		}
-		if len(hit) == 0 {
+		if hits == 0 {
 			if newOff != 0 && old&bit != 0 {
 				// Untouched valid unit: its content must follow the leaf to
 				// the relocated block.
@@ -444,10 +446,8 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 			newWord &^= bit
 			f.fs.stats.ToggleToFallback.Add(1)
 		}
-		full := len(hit) == 1 && hit[0].lo <= ulo && hit[0].hi >= uhi
-		if full {
-			r := hit[0]
-			writes = appendWrite(writes, dataWrite{dst: dst, abs: ulo, data: r.data[ulo-r.lo : uhi-r.lo], logOff: dstOff})
+		if hits == 1 && covered == unit {
+			writes = appendWrite(writes, dataWrite{dst: dst, abs: ulo, data: first.data[ulo-first.lo : uhi-first.lo], logOff: dstOff})
 			continue
 		}
 		// Partial unit: complete with the current latest content unless the
@@ -456,15 +456,11 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 		if covered < unit {
 			f.resolveData(ctx, ulo, uhi, buf)
 		}
-		for _, r := range hit {
-			lo, hi := r.lo, r.hi
-			if lo < ulo {
-				lo = ulo
+		for _, r := range run {
+			if r.lo < uhi && ulo < r.hi {
+				lo, hi := max(r.lo, ulo), min(r.hi, uhi)
+				copy(buf[lo-ulo:], r.data[lo-r.lo:hi-r.lo])
 			}
-			if hi > uhi {
-				hi = uhi
-			}
-			copy(buf[lo-ulo:], r.data[lo-r.lo:hi-r.lo])
 		}
 		writes = appendWrite(writes, dataWrite{dst: dst, abs: ulo, data: buf, logOff: dstOff})
 	}

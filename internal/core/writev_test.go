@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -75,6 +76,73 @@ func TestWriteMultiOverlapRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("overlapping updates accepted")
+	}
+}
+
+// TestWriteMultiEmptyUpdates: empty updates are skipped before the extent
+// and overlap checks, so they neither grow the file nor collide with the
+// update around them, and a call with nothing to write changes nothing.
+func TestWriteMultiEmptyUpdates(t *testing.T) {
+	fs, ctx := newTestFS(DefaultOptions())
+	h, _ := fs.Create(ctx, "f")
+	hh := h.(*handle)
+	want := bytes.Repeat([]byte{0x42}, 4096)
+	h.WriteAt(ctx, want, 0)
+	writes := fs.Stats().Writes.Load()
+
+	if err := hh.WriteMulti(ctx, []Update{{Off: 1 << 20, Data: nil}}); err != nil {
+		t.Fatalf("all-empty WriteMulti: %v", err)
+	}
+	if n, err := h.WriteAt(ctx, nil, 1<<20); n != 0 || err != nil {
+		t.Fatalf("empty WriteAt = %d, %v", n, err)
+	}
+	if got := fs.Stats().Writes.Load(); got != writes {
+		t.Fatalf("empty calls counted as %d writes", got-writes)
+	}
+	if err := hh.WriteMulti(ctx, []Update{{Off: 0, Data: []byte{7}}, {Off: 2 << 20, Data: nil}}); err != nil {
+		t.Fatalf("WriteMulti with a trailing empty update: %v", err)
+	}
+	want[0] = 7
+	if err := hh.WriteMulti(ctx, []Update{
+		{Off: 100, Data: bytes.Repeat([]byte{9}, 100)},
+		{Off: 150, Data: nil},
+	}); err != nil {
+		t.Fatalf("empty update inside another: %v", err)
+	}
+	copy(want[100:], bytes.Repeat([]byte{9}, 100))
+	if h.Size() != int64(len(want)) {
+		t.Fatalf("size = %d, want %d", h.Size(), len(want))
+	}
+	got := make([]byte, len(want))
+	h.ReadAt(ctx, got, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("content mismatch")
+	}
+}
+
+// TestWriteMultiOverflowRejected: an update whose end lies past
+// math.MaxInt64 fails the whole call, and nothing of it is applied.
+func TestWriteMultiOverflowRejected(t *testing.T) {
+	fs, ctx := newTestFS(DefaultOptions())
+	h, _ := fs.Create(ctx, "f")
+	hh := h.(*handle)
+	want := bytes.Repeat([]byte{0x42}, 4096)
+	h.WriteAt(ctx, want, 0)
+	for _, ups := range [][]Update{
+		{{Off: math.MaxInt64 - 10, Data: make([]byte, 100)}},
+		{{Off: 0, Data: []byte{1}}, {Off: math.MaxInt64 - 10, Data: make([]byte, 100)}},
+	} {
+		if err := hh.WriteMulti(ctx, ups); err == nil {
+			t.Fatalf("WriteMulti(%d updates) accepted an overflowing update", len(ups))
+		}
+	}
+	if h.Size() != int64(len(want)) {
+		t.Fatalf("size = %d, want %d", h.Size(), len(want))
+	}
+	got := make([]byte, len(want))
+	h.ReadAt(ctx, got, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("content changed by a rejected write")
 	}
 }
 

@@ -7,6 +7,7 @@ package fstest
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -29,6 +30,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("ConcurrentDisjointWriters", func(t *testing.T) { testConcurrentDisjoint(t, factory(t)) })
 	t.Run("ConcurrentReadersWriters", func(t *testing.T) { testConcurrentReadersWriter(t, factory(t)) })
 	t.Run("CloseReopen", func(t *testing.T) { testCloseReopen(t, factory(t)) })
+	t.Run("OverflowingWriteRejected", func(t *testing.T) { testOverflowingWrite(t, factory(t)) })
 }
 
 func testCreateOpenRemove(t *testing.T, fs vfs.FS) {
@@ -365,6 +367,24 @@ func testCloseReopen(t *testing.T, fs vfs.FS) {
 	if !bytes.Equal(buf, data) {
 		t.Fatal("data lost across close/reopen")
 	}
+}
+
+// testOverflowingWrite: a write whose end lies past math.MaxInt64 fails
+// cleanly — an error, no panic, and the file's size and content unchanged.
+func testOverflowingWrite(t *testing.T, fs vfs.FS) {
+	ctx := sim.NewCtx(0, 1)
+	f := mustCreate(t, fs, ctx, "f")
+	defer f.Close(ctx)
+	ref := seqBytes(4096)
+	if _, err := f.WriteAt(ctx, ref, 0); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	for _, off := range []int64{math.MaxInt64 - 10, math.MaxInt64} {
+		if n, err := f.WriteAt(ctx, make([]byte, 100), off); err == nil {
+			t.Fatalf("WriteAt(100 B at %d) = %d, nil; want an error", off, n)
+		}
+	}
+	checkWholeFile(t, ctx, f, ref, -1)
 }
 
 func checkWholeFile(t *testing.T, ctx *sim.Ctx, f vfs.File, ref []byte, op int) {

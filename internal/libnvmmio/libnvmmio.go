@@ -343,8 +343,8 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if err := h.guard(); err != nil {
 		return 0, err
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("libnvmmio: negative offset %d", off)
+	if err := vfs.CheckWrite(off, len(p)); err != nil {
+		return 0, fmt.Errorf("libnvmmio: %w", err)
 	}
 	if len(p) == 0 {
 		return 0, nil

@@ -399,8 +399,8 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if h.closed {
 		return 0, vfs.ErrClosed
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("nova: negative offset %d", off)
+	if err := vfs.CheckWrite(off, len(p)); err != nil {
+		return 0, fmt.Errorf("nova: %w", err)
 	}
 	if len(p) == 0 {
 		return 0, nil

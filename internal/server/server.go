@@ -528,7 +528,10 @@ func (c *conn) handleWrite(id uint32, body []byte) {
 	sf := c.lookup(binary.LittleEndian.Uint32(body[0:4]))
 	off := int64(binary.LittleEndian.Uint64(body[4:12]))
 	data := body[12:]
-	if sf == nil || off < 0 || len(data) == 0 || len(data) > MaxData {
+	// A range no file can hold is refused here, before the enqueue: core
+	// rejects it, and inside a group commit that rejection would fail every
+	// write coalesced with it.
+	if sf == nil || len(data) == 0 || len(data) > MaxData || vfs.CheckWrite(off, len(data)) != nil {
 		c.reply(OpWrite, id, StatusBadRequest, nil)
 		return
 	}

@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -234,6 +236,46 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatalf("meta entries per acked write = %.2f, want < 1", metaPerAck)
 	}
 	t.Logf("mean batch size %.2f, meta entries per acked write %.2f", bs.Mean, metaPerAck)
+}
+
+// TestOverflowingWriteRejectedAtAdmission: a WRITE whose end lies past
+// math.MaxInt64 gets StatusBadRequest before it is enqueued, so it never
+// joins a group commit and cannot fail the well-formed writes racing it.
+func TestOverflowingWriteRejectedAtAdmission(t *testing.T) {
+	srv := newServer(t, server.Config{Shards: 1, BatchWait: 2 * time.Millisecond})
+	c := pipeClient(t, srv, "t")
+	f, err := c.Open("f", true)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	const good = 4
+	var wg sync.WaitGroup
+	for i := 0; i < good; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := f.WriteAt(bytes.Repeat([]byte{byte(i + 1)}, 100), int64(i)*4096); err != nil {
+				t.Errorf("well-formed write %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := f.WriteAt(make([]byte, 100), math.MaxInt64-10); !errors.Is(err, server.ErrBadRequest) {
+			t.Errorf("overflowing write: %v, want ErrBadRequest", err)
+		}
+	}()
+	wg.Wait()
+	for i := 0; i < good; i++ {
+		got := make([]byte, 100)
+		if _, err := f.ReadAt(got, int64(i)*4096); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, 100)) {
+			t.Fatalf("write %d not applied", i)
+		}
+	}
 }
 
 // TestOverlappingWritesSplitSubBatches drives same-offset writes through

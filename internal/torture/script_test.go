@@ -114,7 +114,7 @@ func TestScriptSweepSnapshot(t *testing.T) {
 
 // TestScriptSweepSnapshotDegree4 repeats the sweep with a degree-4 tree so
 // crash points land inside multi-entry chained CoW commits (more than
-// snapOpSlots word changes per write).
+// wideEntrySlots slots per write).
 func TestScriptSweepSnapshotDegree4(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Degree = 4

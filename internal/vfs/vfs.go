@@ -7,6 +7,8 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
@@ -18,7 +20,17 @@ var (
 	ErrExist    = errors.New("vfs: file already exists")
 	ErrClosed   = errors.New("vfs: file is closed")
 	ErrReadOnly = errors.New("vfs: operation not permitted")
+	ErrRange    = errors.New("vfs: write range out of bounds")
 )
+
+// CheckWrite rejects a write of n bytes at off that no file can hold: a
+// negative offset, or an end past math.MaxInt64. The error wraps ErrRange.
+func CheckWrite(off int64, n int) error {
+	if off < 0 || off > math.MaxInt64-int64(n) {
+		return fmt.Errorf("%w: %d bytes at offset %d", ErrRange, n, off)
+	}
+	return nil
+}
 
 // FS is a mounted file system on a simulated NVM device.
 type FS interface {

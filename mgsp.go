@@ -95,7 +95,8 @@ type Update = core.Update
 // MultiWriter is implemented by MGSP file handles: WriteMulti applies
 // several disjoint updates as one failure-atomic operation (the
 // transaction-level atomicity the paper lists as future work — it falls out
-// of the metadata-log commit protocol naturally).
+// of the metadata-log commit protocol naturally). It is the same commit as
+// WriteAt, which is its one-update case; empty updates are skipped.
 //
 //	f, _ := fs.Create(ctx, "db")
 //	f.(mgsp.MultiWriter).WriteMulti(ctx, []mgsp.Update{...})
