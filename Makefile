@@ -13,8 +13,8 @@ ci: vet vet-report build test ledger-test race serve-smoke ## everything CI runs
 
 # Static analysis gate: stock go vet plus the project's own interprocedural
 # analyzers (the mgspsummary effect-summary engine feeding persistorder,
-# crashsafe-locks, lockorder, seqlockver, twostore, atomicfield, checksumpub,
-# staleannot) through the vet -vettool protocol. Must exit 0 on the tree; see
+# lockorder, seqlockver, twostore, atomicfield, checksumpub, staleannot)
+# through the vet -vettool protocol. Must exit 0 on the tree; see
 # DESIGN.md §15 for each invariant and the //mgsp: annotation grammar.
 vet: mgspvet
 	$(GO) vet ./...
@@ -96,8 +96,8 @@ lint-tools:
 # so inter-test state dependencies cannot hide. This is the documented CI
 # gate for concurrency changes — `make race` must be green before merging
 # anything that touches locking, the metadata log, or recovery. It starts
-# with `make vet` because crashsafe-locks catches the lock-leak class that
-# the race detector cannot (leaks only manifest under crash injection). The
+# with `make vet` because lockorder catches lock-order inversions that the
+# race detector cannot (a deadlock needs the unlucky interleaving). The
 # bench smoke ride-along proves the measurement harness end to end (runs
 # every experiment briefly and schema-validates the emitted JSON).
 race: vet bench-smoke
@@ -126,9 +126,10 @@ bench-json:
 	$(GO) run ./cmd/mgspstat -validate BENCH_core.json
 
 # The crash harness on its own, race detector on: ~200 sampled (seed,
-# crash-index) points with 4 racing writers per run under the region oracle,
-# plus the scripted single-writer sweeps (MGSP, NOVA, Libnvmmio, snapshot
-# lifecycle) crashing at every stride-th media op under the prefix oracle.
+# crash-index) power cuts with 4 racing writers per run under the region
+# oracle, plus the scripted single-writer sweeps (MGSP, NOVA, Libnvmmio,
+# snapshot lifecycle) cutting power at every stride-th media op under the
+# prefix oracle. Each oracle judges the durable image frozen at the cut.
 # Torture violations print a deterministic
 # `go test -run TestTortureReplay -torture.*` repro line.
 torture:

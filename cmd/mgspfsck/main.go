@@ -109,30 +109,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	dev.ArmCrash(*crashAfter, *seed)
 	completed := 0
-	var setupErr error
-	crashed := nvm.Shield(func() {
-		buf := make([]byte, 4096)
-		for i := 0; i < *ops; i++ {
-			if *snap && i == *ops/2 {
-				id, err := fs.Snapshot(ctx, "data")
-				if err != nil {
-					setupErr = err
-					return
-				}
-				fmt.Fprintf(stdout, "snapshot %d taken after %d writes; remainder runs copy-on-write\n", id, completed)
+	buf := make([]byte, 4096)
+	// The workload stops at the power cut; the op the cut landed in is not
+	// counted as completed.
+	for i := 0; i < *ops && !dev.Crashed(); i++ {
+		if *snap && i == *ops/2 {
+			id, err := fs.Snapshot(ctx, "data")
+			if err != nil {
+				return fail(stderr, err)
 			}
-			off := ctx.Rand.Int63n(fileSize/4096) * 4096
-			if _, err := f.WriteAt(ctx, buf, off); err != nil {
-				setupErr = err
-				return
+			if dev.Crashed() {
+				break
 			}
+			fmt.Fprintf(stdout, "snapshot %d taken after %d writes; remainder runs copy-on-write\n", id, completed)
+		}
+		off := ctx.Rand.Int63n(fileSize/4096) * 4096
+		if _, err := f.WriteAt(ctx, buf, off); err != nil {
+			return fail(stderr, err)
+		}
+		if !dev.Crashed() {
 			completed++
 		}
-	})
-	if setupErr != nil {
-		return fail(stderr, setupErr)
 	}
-	if crashed {
+	if dev.Crashed() {
 		fmt.Fprintf(stdout, "CRASH after %d completed writes (mid-operation torn at 8-byte granularity)\n", completed)
 	} else {
 		fmt.Fprintf(stdout, "workload finished without reaching the fail point (%d writes)\n", completed)

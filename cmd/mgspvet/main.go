@@ -1,11 +1,11 @@
 // Command mgspvet is the MGSP static-analysis vettool: an interprocedural
 // summary engine (mgspsummary, exporting per-function effect facts across
-// package boundaries) plus eight golang.org/x/tools/go/analysis passes
+// package boundaries) plus seven golang.org/x/tools/go/analysis passes
 // enforcing the crash-consistency invariants the paper's correctness
-// argument rests on — persist ordering, crash-safe lock discipline, the
-// declared lock hierarchy, seqlock read validation, dependent-store
-// ordering, atomics hygiene, checksum-before-publish, and the freshness of
-// the //mgsp: annotations themselves.
+// argument rests on — persist ordering, the declared lock hierarchy,
+// seqlock read validation, dependent-store ordering, atomics hygiene,
+// checksum-before-publish, and the freshness of the //mgsp: annotations
+// themselves.
 //
 // It speaks the `go vet -vettool` protocol:
 //
@@ -23,7 +23,6 @@ import (
 
 	"mgsp/internal/analysis/atomicfield"
 	"mgsp/internal/analysis/checksumpub"
-	"mgsp/internal/analysis/crashsafelocks"
 	"mgsp/internal/analysis/lockorder"
 	"mgsp/internal/analysis/persistorder"
 	"mgsp/internal/analysis/seqlockver"
@@ -36,7 +35,6 @@ func main() {
 	unitchecker.Main(
 		summary.Analyzer,
 		persistorder.Analyzer,
-		crashsafelocks.Analyzer,
 		lockorder.Analyzer,
 		seqlockver.Analyzer,
 		twostore.Analyzer,

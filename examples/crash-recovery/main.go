@@ -46,13 +46,14 @@ func main() {
 
 		dev.ArmCrash(fail, fail)
 		completed := -1
-		crashed := mgsp.Shield(func() {
-			for i, o := range script {
-				f.WriteAt(ctx, bytes.Repeat([]byte{o.pat}, o.n), o.off)
-				completed = i
+		for i, o := range script {
+			f.WriteAt(ctx, bytes.Repeat([]byte{o.pat}, o.n), o.off)
+			if dev.Crashed() {
+				break // the cut landed in this op: it stays in flight
 			}
-		})
-		if !crashed {
+			completed = i
+		}
+		if !dev.Crashed() {
 			fmt.Printf("swept %d crash points (%d verified boundaries): all atomic\n", crashes, checked)
 			return
 		}

@@ -163,11 +163,9 @@ func main() {
 
 	// Crash in the middle of an update burst.
 	dev.ArmCrash(100, 9)
-	mgsp.Shield(func() {
-		for i := 0; i < 500; i++ {
-			kv.Put(ctx, fmt.Sprintf("user:%04d", i), fmt.Sprintf("UPDATED-%04d", i))
-		}
-	})
+	for i := 0; i < 500 && !dev.Crashed(); i++ {
+		kv.Put(ctx, fmt.Sprintf("user:%04d", i), fmt.Sprintf("UPDATED-%04d", i))
+	}
 	fmt.Println("crash injected mid-update-burst")
 	dev.Recover()
 

@@ -7,7 +7,6 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -50,9 +49,12 @@ type Allocator struct {
 	start     int64
 	blockSize int64
 	nblocks   int64
-	free      int64
-	hint      int64
-	bitmap    []uint64 // 1 = allocated
+	// free counts unallocated blocks: it changes under mu (or in the
+	// single-threaded recovery scan) wherever a bitmap bit does, and is
+	// atomic so FreeBlocks and UsedBlocks read it without mu.
+	free   atomic.Int64
+	hint   int64
+	bitmap []uint64 // 1 = allocated
 	// refs is the per-block reference count, nonzero iff the bitmap bit is
 	// set. Written under mu (or by the single-threaded recovery scan);
 	// atomic because RefCount reads it without mu.
@@ -69,15 +71,16 @@ func New(start, size, blockSize int64, costs *sim.Costs) *Allocator {
 		panic(fmt.Sprintf("alloc: bad region start=%d size=%d bs=%d", start, size, blockSize))
 	}
 	n := size / blockSize
-	return &Allocator{
+	a := &Allocator{
 		start:     start,
 		blockSize: blockSize,
 		nblocks:   n,
-		free:      n,
 		bitmap:    make([]uint64, (n+63)/64),
 		refs:      make([]atomic.Uint32, n),
 		costs:     costs,
 	}
+	a.free.Store(n)
+	return a
 }
 
 // BlockSize returns the allocation unit in bytes.
@@ -85,7 +88,7 @@ func (a *Allocator) BlockSize() int64 { return a.blockSize }
 
 // FreeBlocks returns the number of unallocated blocks.
 func (a *Allocator) FreeBlocks() int64 {
-	return a.free // benign racy read; exact under the caller's own sync
+	return a.free.Load()
 }
 
 // Alloc allocates one block and returns its device offset.
@@ -109,7 +112,7 @@ func (a *Allocator) AllocContig(ctx *sim.Ctx, n int64) (int64, error) {
 	a.mu.Lock(ctx)
 	defer a.mu.Unlock(ctx)
 	ctx.Advance(a.costs.BlockAlloc)
-	if a.free < n {
+	if a.free.Load() < n {
 		return 0, ErrNoSpace
 	}
 	if b, ok := a.scan(a.hint, a.nblocks, n); ok {
@@ -165,11 +168,11 @@ func (a *Allocator) allocSingles(ctx *sim.Ctx, want int64) ([]int64, error) {
 	a.mu.Lock(ctx)
 	defer a.mu.Unlock(ctx)
 	ctx.Advance(a.costs.BlockAlloc)
-	if a.free < want*2 {
+	if a.free.Load() < want*2 {
 		want = 1
 	}
 	var out []int64
-	for int64(len(out)) < want && a.free > 0 {
+	for int64(len(out)) < want && a.free.Load() > 0 {
 		b, ok := a.scan(a.hint, a.nblocks, 1)
 		if !ok {
 			b, ok = a.scan(0, a.hint, 1)
@@ -262,7 +265,7 @@ func (a *Allocator) take(b, n int64) int64 {
 		a.set(i)
 		a.refs[i].Store(1)
 	}
-	a.free -= n
+	a.free.Add(-n)
 	a.hint = b + n
 	if a.hint >= a.nblocks {
 		a.hint = 0
@@ -292,7 +295,7 @@ func (a *Allocator) unref(i, off int64) {
 	}
 	if a.refs[i].Add(^uint32(0)) == 0 {
 		a.clear(i)
-		a.free++
+		a.free.Add(1)
 	}
 }
 
@@ -360,7 +363,7 @@ func (a *Allocator) MarkAllocated(off, n int64) error {
 		a.set(i)
 		a.refs[i].Store(1)
 	}
-	a.free -= n
+	a.free.Add(-n)
 	return nil
 }
 
@@ -377,7 +380,7 @@ func (a *Allocator) MarkRef(off, n int64) {
 		}
 		a.set(i)
 		a.refs[i].Store(1)
-		a.free--
+		a.free.Add(-1)
 	}
 }
 
@@ -395,7 +398,7 @@ func (a *Allocator) Reset() {
 	for i := range a.refs {
 		a.refs[i].Store(0)
 	}
-	a.free = a.nblocks
+	a.free.Store(a.nblocks)
 	a.hint = 0
 }
 
@@ -415,14 +418,8 @@ func (a *Allocator) Range(fn func(off int64, refs int) bool) {
 // Allocated reports whether the block containing off is allocated.
 func (a *Allocator) Allocated(off int64) bool { return a.test(a.blockOf(off)) }
 
-// UsedBlocks returns the number of allocated blocks.
-func (a *Allocator) UsedBlocks() int64 {
-	var used int64
-	for _, w := range a.bitmap {
-		used += int64(bits.OnesCount64(w))
-	}
-	return used
-}
+// UsedBlocks returns the number of allocated blocks, cached ones included.
+func (a *Allocator) UsedBlocks() int64 { return a.nblocks - a.free.Load() }
 
 func (a *Allocator) blockOf(off int64) int64 {
 	if off < a.start || (off-a.start)%a.blockSize != 0 {

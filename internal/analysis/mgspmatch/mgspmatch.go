@@ -1,5 +1,5 @@
 // Package mgspmatch holds the shared type- and call-matching helpers used by
-// the mgspvet analyzers (persistorder, crashsafe-locks, atomicfield,
+// the mgspvet analyzers (persistorder, atomicfield,
 // checksum-before-publish), plus the //mgsp: suppression-directive parser.
 //
 // Matching is by (type name, package-path suffix) rather than by exact import
@@ -100,9 +100,9 @@ func DeviceMethod(info *types.Info, call *ast.CallExpr) string {
 
 // HasSimCtxParam reports whether fn takes a parameter of type *sim.Ctx
 // (package-path suffix "sim", type Ctx). In this codebase every operation
-// that can issue media ops — and therefore panic at a crash-injection fail
-// point — is threaded through a *sim.Ctx for cost accounting, so a
-// ctx-taking callee in another package is conservatively a crash point.
+// that can issue media ops is threaded through a *sim.Ctx for cost
+// accounting, so a ctx-taking callee in another package is conservatively a
+// media op.
 func HasSimCtxParam(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
@@ -198,7 +198,6 @@ func FamilyKey(e ast.Expr) (family, full string) {
 // reported by the staleannot pass):
 //
 //	//mgsp:deferred-persist <why the barrier lives elsewhere>
-//	//mgsp:crash-locked <why the lock cannot leak>
 //	//mgsp:unchecksummed-publish <why this store needs no checksum>
 //	//mgsp:unaligned-ok <why 32-bit alignment does not apply>
 //	//mgsp:atomic-copy-ok <why this value copy is race-free>
@@ -214,7 +213,6 @@ func FamilyKey(e ast.Expr) (family, full string) {
 //	//mgsp:seqlock                 (marks an atomic field as a seqlock version)
 const (
 	DeferredPersist      = "deferred-persist"
-	CrashLocked          = "crash-locked"
 	UnchecksummedPublish = "unchecksummed-publish"
 	UnalignedOK          = "unaligned-ok"
 	AtomicCopyOK         = "atomic-copy-ok"
@@ -233,7 +231,6 @@ const (
 // expected to suppress something.
 var SuppressionDirectives = map[string]string{
 	DeferredPersist:      "persistorder",
-	CrashLocked:          "crashsafelocks",
 	UnchecksummedPublish: "checksumpub",
 	UnalignedOK:          "atomicfield",
 	AtomicCopyOK:         "atomicfield",

@@ -24,7 +24,6 @@ import (
 
 	"mgsp/internal/analysis/atomicfield"
 	"mgsp/internal/analysis/checksumpub"
-	"mgsp/internal/analysis/crashsafelocks"
 	"mgsp/internal/analysis/lockorder"
 	"mgsp/internal/analysis/mgspmatch"
 	"mgsp/internal/analysis/persistorder"
@@ -46,7 +45,6 @@ names are reported as probable typos.`
 // an initialization cycle through Analyzer.Requires.
 var upstream = []*analysis.Analyzer{
 	persistorder.Analyzer,
-	crashsafelocks.Analyzer,
 	atomicfield.Analyzer,
 	checksumpub.Analyzer,
 	lockorder.Analyzer,
@@ -104,7 +102,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 func knownNames() string {
-	return mgspmatch.DeferredPersist + ", " + mgspmatch.CrashLocked + ", " +
+	return mgspmatch.DeferredPersist + ", " +
 		mgspmatch.UnchecksummedPublish + ", " + mgspmatch.UnalignedOK + ", " +
 		mgspmatch.AtomicCopyOK + ", " + mgspmatch.LockOrderOK + ", " +
 		mgspmatch.SeqlockOK + ", " + mgspmatch.TwoStoreOK

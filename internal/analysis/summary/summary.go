@@ -4,7 +4,7 @@
 // it cross a persist barrier, can it reach a commit sink before one, which
 // lock classes does it acquire, escape with, or release — and exporting
 // those summaries across package boundaries so the ordering analyzers
-// (persistorder, crashsafelocks, lockorder, seqlockver, twostore) see
+// (persistorder, lockorder, seqlockver, twostore) see
 // through calls into other packages instead of approximating them.
 //
 // Effects are computed by fixpoint over the package's call graph on top of
@@ -180,10 +180,6 @@ type Result struct {
 	// IsSeqlock reports whether v is a //mgsp:seqlock-annotated field.
 	IsSeqlock func(*types.Var) bool
 
-	// IsCrashPoint classifies a call as able to panic at a crash-injection
-	// fail point (direct media op, media-performing callee, or the ctx
-	// heuristic for summary-less concrete callees).
-	IsCrashPoint func(*ast.CallExpr) bool
 	// PersistClass classifies a call as seen after a pending unflushed
 	// write of kind write ("Write" or "WriteNT"): Stop for a sufficient
 	// barrier, Hit for a commit sink, Continue otherwise.
@@ -425,7 +421,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// this package contributes edges or declarations. Empty summaries are
 	// still exported for ctx-taking functions: "analyzed, no effects" must
 	// stay distinguishable from "no summary at all", or the dynamic-dispatch
-	// crash-point approximation would re-absorb every harmless ctx helper.
+	// media-op approximation would re-absorb every harmless ctx helper.
 	for _, fi := range e.fns {
 		if fi.fn != nil && (!fi.sum.empty() || mgspmatch.HasSimCtxParam(fi.fn)) {
 			s := fi.sum
@@ -488,16 +484,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		LocalEdges: e.edges,
 		AllEdges:   allEdges,
 	}
-	res.IsCrashPoint = func(c *ast.CallExpr) bool {
-		if m := mgspmatch.DeviceMethod(pass.TypesInfo, c); m != "" {
-			return mgspmatch.DeviceMediaOps[m]
-		}
-		s, fn := e.calleeSummary(c)
-		if s != nil {
-			return s.MediaOp
-		}
-		return e.dynamicCrash(fn)
-	}
 	res.PersistClass = func(c *ast.CallExpr, write string) cfgscan.Class {
 		return e.persistClass(c, write)
 	}
@@ -538,7 +524,7 @@ func (e *engine) calleeSummary(call *ast.CallExpr) (*FnSummary, *types.Func) {
 
 // dynamicCrash is the media-op fallback for a callee with no summary: an
 // interface method or foreign function threading a *sim.Ctx is
-// conservatively a crash point (excluding the simulator and observability
+// conservatively a media op (excluding the simulator and observability
 // packages, whose ctx use is cost accounting only).
 func (e *engine) dynamicCrash(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {

@@ -101,13 +101,11 @@ func runSustained(fileSize int64, ops int, seed int64, cleanerOn bool) (sustaine
 
 	// Crash a short way into continued load, then recover.
 	dev.ArmCrash(500, seed*31+7)
-	nvm.Shield(func() {
-		for {
-			if _, err := f.WriteAt(ctx, buf, randOff()); err != nil {
-				return
-			}
+	for !dev.Crashed() {
+		if _, err := f.WriteAt(ctx, buf, randOff()); err != nil {
+			break
 		}
-	})
+	}
 	dev.DisarmCrash()
 	dev.Recover()
 

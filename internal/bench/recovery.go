@@ -61,14 +61,12 @@ func recoverOnce(fileSize int64, ops int, seed int64) (recoveryResult, error) {
 	// Random-write phase filling the logs, then crash mid-flight.
 	buf := make([]byte, 4096)
 	dev.ArmCrash(int64(ops)*3, seed) // land the crash inside the workload
-	nvm.Shield(func() {
-		for i := 0; i < ops*4; i++ {
-			off := ctx.Rand.Int63n(fileSize/4096) * 4096
-			if _, err := f.WriteAt(ctx, buf, off); err != nil {
-				return
-			}
+	for i := 0; i < ops*4 && !dev.Crashed(); i++ {
+		off := ctx.Rand.Int63n(fileSize/4096) * 4096
+		if _, err := f.WriteAt(ctx, buf, off); err != nil {
+			break
 		}
-	})
+	}
 	dev.DisarmCrash()
 	dev.Recover()
 

@@ -172,7 +172,7 @@ func TestEveryWriteDurableWithoutFsync(t *testing.T) {
 	data := bytes.Repeat([]byte{0x3C}, 10000)
 	f.WriteAt(ctx, data, 777)
 
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev, smallTreeOpts())
 	if err != nil {
 		t.Fatalf("Mount: %v", err)

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,7 +14,8 @@ import (
 
 // crashRun executes setup, arms the device at fail point `fail`, runs op,
 // and reports whether the crash fired. On crash it recovers the device and
-// returns the remounted FS.
+// returns the remounted FS. An op that issues several calls stops at the
+// cut itself.
 func crashRun(t *testing.T, opts Options, fail int64, setup, op func(*sim.Ctx, *FS)) (*FS, bool) {
 	t.Helper()
 	dev := nvm.New(128<<20, sim.ZeroCosts())
@@ -24,11 +24,9 @@ func crashRun(t *testing.T, opts Options, fail int64, setup, op func(*sim.Ctx, *
 	setup(ctx, fs)
 
 	dev.ArmCrash(fail, fail*7+3)
-	crashed := nvm.Shield(func() {
-		op(ctx, fs)
-	})
+	op(ctx, fs)
 	dev.DisarmCrash()
-	if !crashed {
+	if !dev.Crashed() {
 		return fs, false
 	}
 	dev.Recover()
@@ -227,7 +225,9 @@ func TestCrashSweepCleanerReclaim(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			sweepRelease(t, opts, sc.run, false, func(ctx *sim.Ctx, fs *FS, h vfs.File) {
 				fs.CleanPass(ctx, 0)
-				fs.CleanPass(ctx, 0)
+				if !fs.dev.Crashed() {
+					fs.CleanPass(ctx, 0)
+				}
 			})
 		})
 	}
@@ -251,7 +251,7 @@ func sweepRelease(t *testing.T, opts Options, script func(*sim.Ctx, vfs.File, []
 		ref := make([]byte, size)
 		script(ctx, h, ref)
 		if afterMount {
-			dev.DropVolatile()
+			dev.Recover()
 			var err error
 			if fs, err = Mount(ctx, dev, opts); err != nil {
 				t.Fatal(err)
@@ -262,12 +262,10 @@ func sweepRelease(t *testing.T, opts Options, script func(*sim.Ctx, vfs.File, []
 			h, _ = fs.Open(ctx, "f")
 		}
 		dev.ArmCrash(fail, fail*7+3)
-		r := panicOf(func() { release(ctx, fs, h) })
+		release(ctx, fs, h)
 		dev.DisarmCrash()
-		if r != nil && r != nvm.ErrCrashed {
-			t.Fatalf("fail=%d: %v", fail, r)
-		}
-		if r != nil {
+		crashed := dev.Crashed()
+		if crashed {
 			dev.Recover()
 			var err error
 			if fs, err = Mount(ctx, dev, opts); err != nil {
@@ -293,7 +291,7 @@ func sweepRelease(t *testing.T, opts Options, script func(*sim.Ctx, vfs.File, []
 			t.Fatalf("fail=%d: %d wrong bytes after recovery, first at %d (got %#x want %#x)",
 				fail, bad, i, got[i], ref[i])
 		}
-		if r == nil {
+		if !crashed {
 			if fail == 0 {
 				t.Fatal("sweep never crashed")
 			}
@@ -337,12 +335,13 @@ func TestCrashRandomizedWorkload(t *testing.T) {
 
 		completed := -1
 		dev.ArmCrash(fail, int64(trial))
-		nvm.Shield(func() {
-			for i, w := range script {
-				f.WriteAt(ctx, bytes.Repeat([]byte{w.pat}, w.n), w.off)
+		for i := 0; i < len(script) && !dev.Crashed(); i++ {
+			w := script[i]
+			f.WriteAt(ctx, bytes.Repeat([]byte{w.pat}, w.n), w.off)
+			if !dev.Crashed() {
 				completed = i
 			}
-		})
+		}
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := Mount(ctx, dev, opts)
@@ -408,13 +407,10 @@ func TestCrashDuringRecovery(t *testing.T) {
 		f.WriteAt(ctx, old, 0)
 		f.WriteAt(ctx, old[:8192], 8192)
 		dev.ArmCrash(wfail, wfail)
-		r := panicOf(func() { f.WriteAt(ctx, upd, 8192) })
+		f.WriteAt(ctx, upd, 8192)
 		dev.DisarmCrash()
-		if r == nil {
+		if !dev.Crashed() {
 			break
-		}
-		if r != nvm.ErrCrashed {
-			t.Fatalf("wfail=%d: %v", wfail, r)
 		}
 		dev.Recover()
 
@@ -442,17 +438,13 @@ func TestCrashDuringRecovery(t *testing.T) {
 
 		for mfail := int64(0); ; mfail++ {
 			dev.ArmCrash(mfail, mfail)
-			r := panicOf(func() {
-				if _, err := Mount(ctx, dev, opts); err != nil {
-					panic(fmt.Sprintf("mount error: %v", err))
-				}
-			})
+			_, err := Mount(ctx, dev, opts)
 			dev.DisarmCrash()
-			if r == nil {
-				break
+			if err != nil {
+				t.Fatalf("wfail=%d mfail=%d: mount error: %v", wfail, mfail, err)
 			}
-			if r != nvm.ErrCrashed {
-				t.Fatalf("wfail=%d mfail=%d: %v", wfail, mfail, r)
+			if !dev.Crashed() {
+				break
 			}
 			fired++
 			dev.Recover()
@@ -483,13 +475,8 @@ func TestRecoveryIdempotent(t *testing.T) {
 	f, _ := fs.Create(ctx, "f")
 	f.WriteAt(ctx, bytes.Repeat([]byte{0x10}, size), 0)
 	dev.ArmCrash(400, 7)
-	r := panicOf(func() {
-		for i := 0; ; i++ {
-			f.WriteAt(ctx, bytes.Repeat([]byte{byte(i)}, 1500+i*97%5000), int64(i*7919%(size-8192)))
-		}
-	})
-	if r != nvm.ErrCrashed {
-		t.Fatalf("workload: panic %v, want nvm.ErrCrashed", r)
+	for i := 0; !dev.Crashed(); i++ {
+		f.WriteAt(ctx, bytes.Repeat([]byte{byte(i)}, 1500+i*97%5000), int64(i*7919%(size-8192)))
 	}
 	dev.DisarmCrash()
 	dev.Recover()
@@ -525,7 +512,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if kept1 == 0 {
 		t.Fatal("first mount kept no log blocks")
 	}
-	dev.DropVolatile() // the second crash: no Close ran
+	dev.Recover() // the second crash: no Close ran
 	h, second, kept2 := remount("second mount")
 	if !bytes.Equal(first, second) {
 		t.Fatal("second mount recovered different content")
@@ -538,7 +525,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if err := h.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	dev.DropVolatile()
+	dev.Recover()
 	_, third, kept3 := remount("mount after close")
 	if !bytes.Equal(first, third) {
 		t.Fatal("write-back at close changed the content")
@@ -620,10 +607,12 @@ func TestCrashSweepSlotReuseResurrection(t *testing.T) {
 			},
 			func(ctx *sim.Ctx, fs *FS) {
 				f, _ := fs.Open(ctx, "f")
-				for i := 0; i < ops; i++ {
+				for i := 0; i < ops && !fs.dev.Crashed(); i++ {
 					pat := bytes.Repeat([]byte{byte(i + 1)}, regionSize)
 					f.WriteAt(ctx, pat, int64(i%regions)*regionSize)
-					completed = i + 1
+					if !fs.dev.Crashed() {
+						completed = i + 1
+					}
 				}
 			})
 		ctx := sim.NewCtx(9, 9)
@@ -708,33 +697,50 @@ func TestCrashSweepCursorPublish(t *testing.T) {
 				[]opSlot{{recIdx: int64(i), old: 1, new: 2}}, group, 0, 1, 1)
 		}
 
-		crashed := nvm.Shield(func() {
-			dev.ArmCrash(fail, fail*13+5)
-			// Phase 1: worker 3 claims 20 entries without retiring — the home
-			// area fills at 15 and the rest spill into the next area, with a
-			// cursor publish in each.
-			held := make([]int, 0, 20)
-			for k := 0; k < 20; k++ {
-				i := m.claim(ctx, 3)
+		// The workload stops at the cut: no step runs after the op the cut
+		// landed in, and that op's bookkeeping is skipped, since it returned
+		// on the cut device.
+		live := func() bool { return !dev.Crashed() }
+		dev.ArmCrash(fail, fail*13+5)
+		// Phase 1: worker 3 claims 20 entries without retiring — the home
+		// area fills at 15 and the rest spill into the next area, with a
+		// cursor publish in each.
+		held := make([]int, 0, 20)
+		for k := 0; k < 20 && live(); k++ {
+			i := m.claim(ctx, 3)
+			if live() {
 				doCommit(i, 3)
 				held = append(held, i)
 			}
-			for _, i := range held {
-				m.retire(ctx, i)
+		}
+		for _, i := range held {
+			if !live() {
+				break
+			}
+			m.retire(ctx, i)
+			if live() {
 				retired[i] = true
 			}
-			// Phase 2: claim/commit/retire cycles from several workers; worker
-			// 3's claims reuse the phase-1 slots (the ABA window).
-			for k := 0; k < 30; k++ {
-				w := k % 5
-				i := m.claim(ctx, w)
-				doCommit(i, w)
-				m.retire(ctx, i)
+		}
+		// Phase 2: claim/commit/retire cycles from several workers; worker
+		// 3's claims reuse the phase-1 slots (the ABA window).
+		for k := 0; k < 30 && live(); k++ {
+			w := k % 5
+			i := m.claim(ctx, w)
+			if !live() {
+				break
+			}
+			doCommit(i, w)
+			if !live() {
+				break
+			}
+			m.retire(ctx, i)
+			if live() {
 				retired[i] = true
 			}
-		})
+		}
 		dev.DisarmCrash()
-		if !crashed {
+		if live() {
 			if fail == 1 {
 				t.Fatal("sweep never crashed")
 			}
@@ -775,10 +781,10 @@ func TestCrashSweepCursorPublish(t *testing.T) {
 	}
 }
 
-// TestCrashedReaderReleasesLocks: a reader that dies on the crashed-device
-// panic of a media read must not keep its MGL R locks. A writer to the same
-// block on another goroutine must then reach the dead device and panic with
-// nvm.ErrCrashed, instead of blocking forever on the leaked lock.
+// TestCrashedReaderReleasesLocks: after the power cut a reader and a writer
+// of the same block, issued on two goroutines, both return normally: the
+// reader takes and releases its MGL R locks on its normal path, so the
+// writer never blocks. Recovery then finds exactly the pre-cut bytes.
 func TestCrashedReaderReleasesLocks(t *testing.T) {
 	cached := DefaultOptions()
 	cached.CacheFrames = 8 // turns the lock-free read path off: misses take R locks
@@ -801,18 +807,17 @@ func TestCrashedReaderReleasesLocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rh.WriteAt(rctx, bytes.Repeat([]byte{1}, off+n), 0); err != nil {
+			want := bytes.Repeat([]byte{1}, off+n)
+			if _, err := rh.WriteAt(rctx, want, 0); err != nil {
 				t.Fatal(err)
 			}
 			wh, err := fs.Open(wctx, "f")
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Rotate the writer through its metadata-log home area, so its next
-			// claim needs no cursor persist: the first media op it meets after
-			// the crash then lies behind the node lock the reader held.
+			copy(want[off:], bytes.Repeat([]byte{2}, n))
 			for i := 0; i < metaAreaOpSlots; i++ {
-				if _, err := wh.WriteAt(wctx, bytes.Repeat([]byte{2}, n), off); err != nil {
+				if _, err := wh.WriteAt(wctx, want[off:], off); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -827,33 +832,38 @@ func TestCrashedReaderReleasesLocks(t *testing.T) {
 				}
 			}
 
-			// Crash the device from outside the file system (reads are not
-			// fail points; once crashed, every media op panics), then read:
-			// the reader dies in its media read with its R locks taken.
+			// Cut power from outside the file system, then read and write.
 			dev.ArmCrash(0, 1)
-			if r := panicOf(func() { dev.Store8(rctx, dev.Size()-8, 0) }); r != nvm.ErrCrashed {
-				t.Fatalf("crash: panic %v, want nvm.ErrCrashed", r)
+			dev.Store8(rctx, dev.Size()-8, 0)
+			if !dev.Crashed() {
+				t.Fatal("armed Store8 did not cut power")
 			}
-			if r := panicOf(func() { rd.ReadAt(rctx, make([]byte, n), off) }); r != nvm.ErrCrashed {
-				t.Fatalf("reader: panic %v, want nvm.ErrCrashed", r)
+			got := make([]byte, n)
+			if _, err := rd.ReadAt(rctx, got, off); err != nil || !bytes.Equal(got, want[off:]) {
+				t.Fatalf("reader after the cut: err=%v, bytes match=%v", err, bytes.Equal(got, want[off:]))
 			}
-			done := make(chan any, 1)
-			go func() { done <- panicOf(func() { wh.WriteAt(wctx, bytes.Repeat([]byte{3}, n), off) }) }()
+			done := make(chan error, 1)
+			go func() {
+				_, err := wh.WriteAt(wctx, bytes.Repeat([]byte{3}, n), off)
+				done <- err
+			}()
 			select {
-			case r := <-done:
-				if r != nvm.ErrCrashed {
-					t.Fatalf("writer: panic %v, want nvm.ErrCrashed", r)
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("writer after the cut: %v", err)
 				}
 			case <-time.After(10 * time.Second):
-				t.Fatal("writer blocked: the crashed reader leaked its read locks")
+				t.Fatal("writer after the cut blocked")
+			}
+
+			dev.Recover()
+			fs2, err := Mount(rctx, dev, tc.opts)
+			if err != nil {
+				t.Fatalf("mount: %v", err)
+			}
+			if got := readBack(t, rctx, fs2, "f", off+n); !bytes.Equal(got, want) {
+				t.Fatal("recovered file is not the pre-cut image")
 			}
 		})
 	}
-}
-
-// panicOf runs fn and returns the value it panicked with (nil if none).
-func panicOf(fn func()) (r any) {
-	defer func() { r = recover() }()
-	fn()
-	return nil
 }

@@ -29,7 +29,7 @@ func TestRecoveryAfterTreeGrowth(t *testing.T) {
 		offs = append(offs, off)
 		f.WriteAt(ctx, pat, off)
 	}
-	dev.DropVolatile()
+	dev.Recover()
 	rctx := sim.NewCtx(1, 1)
 	fs2, err := Mount(rctx, dev, DefaultOptions())
 	if err != nil {

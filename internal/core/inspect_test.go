@@ -18,7 +18,7 @@ func TestInspectReportsStructures(t *testing.T) {
 
 	// Crash mid-op so a live metadata entry remains.
 	dev.ArmCrash(2, 1)
-	nvm.Shield(func() { f.WriteAt(ctx, make([]byte, 4096), 8192) })
+	f.WriteAt(ctx, make([]byte, 4096), 8192)
 	dev.Recover()
 
 	report, err := Inspect(dev, DefaultOptions())

@@ -75,25 +75,20 @@ func (d *directory) off(idx int64) int64 { return d.base + idx*recSize }
 // snapshot sequence) and returns its index. The body persists and is fenced
 // before the tag store publishes it.
 func (d *directory) create(ctx *sim.Ctx, tag uint64, logOff int64, word, birth, snapID uint64) int64 {
-	// Deferred unlock: noteHighWater issues media ops, and a crash-injection
-	// panic there must not leak d.mu to the other workers.
-	idx := func() int64 {
-		d.mu.Lock(ctx)
-		defer d.mu.Unlock(ctx)
-		var idx int64
-		if len(d.free) > 0 {
-			idx = d.free[len(d.free)-1]
-			d.free = d.free[:len(d.free)-1]
-		} else {
-			if d.next >= d.cap {
-				panic("core: node directory full")
-			}
-			idx = d.next
-			d.next++
+	d.mu.Lock(ctx)
+	var idx int64
+	if len(d.free) > 0 {
+		idx = d.free[len(d.free)-1]
+		d.free = d.free[:len(d.free)-1]
+	} else {
+		if d.next >= d.cap {
+			panic("core: node directory full")
 		}
-		d.noteHighWater(ctx, idx)
-		return idx
-	}()
+		idx = d.next
+		d.next++
+	}
+	d.noteHighWater(ctx, idx)
+	d.mu.Unlock(ctx)
 
 	var buf [recSize]byte
 	binary.LittleEndian.PutUint64(buf[recLogOff:], uint64(logOff))
@@ -337,8 +332,8 @@ func (m *metaLog) claim(ctx *sim.Ctx, worker int) int {
 // publishHW raises area a's durable cursor to cover op slot s. The fast path
 // is one atomic load: once the cursor covers the area's whole rotation it
 // never moves again, so steady state pays no media traffic. The slow path
-// serializes per area (deferred unlock: the cursor write is a crash-point
-// media op) and re-checks under the lock so the persisted value is monotone.
+// serializes per area and re-checks under the lock so the persisted value
+// is monotone.
 // The volatile mirror is stored only AFTER the cursor entry is durable —
 // a concurrent claimer that reads hw >= s may therefore commit immediately.
 func (m *metaLog) publishHW(ctx *sim.Ctx, a, s int) {

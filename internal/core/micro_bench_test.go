@@ -73,7 +73,7 @@ func BenchmarkCoreRecovery(b *testing.B) {
 		for j := 0; j < 2000; j++ {
 			f.WriteAt(ctx, wbuf, ctx.Rand.Int63n(16<<20-4096)&^4095)
 		}
-		dev.DropVolatile()
+		dev.Recover()
 		rctx := sim.NewCtx(1, 1)
 		b.StartTimer()
 		if _, err := Mount(rctx, dev, DefaultOptions()); err != nil {

@@ -46,9 +46,7 @@ func (f *file) writerEnter() {
 	}
 }
 
-// writerExit closes the mutating section. Callers pair it with writerEnter
-// via defer so a crash-injection panic cannot leave the gate open forever
-// (readers would then fall back on every attempt — safe, but pointless).
+// writerExit closes the mutating section opened by writerEnter.
 func (f *file) writerExit() {
 	if !f.fs.optGate {
 		return

@@ -181,12 +181,13 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 		fail := rng.Int63n(400) + 1
 		dev.ArmCrash(fail, seed)
 		completed := -1
-		nvm.Shield(func() {
-			for i, w := range script {
-				fh.WriteAt(ctx, bytes.Repeat([]byte{w.pat}, w.n), w.off)
+		for i := 0; i < len(script) && !dev.Crashed(); i++ {
+			w := script[i]
+			fh.WriteAt(ctx, bytes.Repeat([]byte{w.pat}, w.n), w.off)
+			if !dev.Crashed() {
 				completed = i
 			}
-		})
+		}
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := Mount(ctx, dev, opts)

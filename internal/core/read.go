@@ -66,27 +66,22 @@ func (h *handle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		return n, nil
 	}
 
-	// The closure scopes the R locks: its deferred release also runs when a
-	// crash-injection panic unwinds out of a media read, so a dead reader can
-	// never leave a node read-locked for the surviving writers.
-	func() {
-		start := f.searchStart(ctx, off, end)
-		segs := f.readCover(ctx, start, off, end, nil)
-		locks := f.lockOp(ctx, start, segs, false)
-		defer f.release(ctx, locks)
-		if single {
-			// Miss fill: resolve the whole block while the R locks pin its
-			// content (writers patch frames under W), install it, and serve
-			// the request from the copy.
-			blockLo := block * LeafSpan
-			buf := make([]byte, LeafSpan)
-			f.resolveData(ctx, blockLo, blockLo+LeafSpan, buf)
-			copy(p[:n], buf[off-blockLo:])
-			fs.pcache.Install(f.pf.Slot(), block, buf, false)
-		} else {
-			f.resolveData(ctx, off, end, p[:n])
-		}
-	}()
+	start := f.searchStart(ctx, off, end)
+	segs := f.readCover(ctx, start, off, end, nil)
+	locks := f.lockOp(ctx, start, segs, false)
+	if single {
+		// Miss fill: resolve the whole block while the R locks pin its
+		// content (writers patch frames under W), install it, and serve the
+		// request from the copy.
+		blockLo := block * LeafSpan
+		buf := make([]byte, LeafSpan)
+		f.resolveData(ctx, blockLo, blockLo+LeafSpan, buf)
+		copy(p[:n], buf[off-blockLo:])
+		fs.pcache.Install(f.pf.Slot(), block, buf, false)
+	} else {
+		f.resolveData(ctx, off, end, p[:n])
+	}
+	f.release(ctx, locks)
 	f.updateMinSearch(off, end)
 	dur := ctx.Now() - began
 	fs.hRead.Observe(dur)

@@ -66,21 +66,20 @@ func (h *snapHandle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	end := off + int64(n)
 	root := f.root.Load()
 	began := ctx.Now()
-	func() {
-		// With no live tree the file bytes are the frozen truth (write-back
-		// is deferred while snapshots live). Otherwise take the same MGL
-		// read locks as live reads: snapshot readers run concurrently with
-		// each other and with writers outside the locked ranges. Deferred
-		// release, as in live ReadAt: a crash panic out of a media read must
-		// not leak the R locks.
-		if root != nil {
-			start := f.searchStart(ctx, off, end)
-			segs := f.readCover(ctx, start, off, end, nil)
-			locks := f.lockOp(ctx, start, segs, false)
-			defer f.release(ctx, locks)
-		}
-		f.readView(ctx, root, view{sid: h.s.id}, off, p[:n], size)
-	}()
+	// With no live tree the file bytes are the frozen truth (write-back is
+	// deferred while snapshots live). Otherwise take the same MGL read locks
+	// as live reads: snapshot readers run concurrently with each other and
+	// with writers outside the locked ranges.
+	var locks *opLocks
+	if root != nil {
+		start := f.searchStart(ctx, off, end)
+		segs := f.readCover(ctx, start, off, end, nil)
+		locks = f.lockOp(ctx, start, segs, false)
+	}
+	f.readView(ctx, root, view{sid: h.s.id}, off, p[:n], size)
+	if locks != nil {
+		f.release(ctx, locks)
+	}
 	f.fs.trace.Record(ctx.ID, obs.OpSnapRead, f.pf.Slot(), off, int64(n), ctx.Now()-began)
 	return n, nil
 }

@@ -181,27 +181,22 @@ func (fs *FS) DropSnapshot(ctx *sim.Ctx, name string, id SnapID) error {
 	fs.mlog.commitSnapshotMark(ctx, de, entKindSnapDrop, f.pf.Slot(), uint64(id), 0, uint8(fs.epoch.Load()))
 	fs.mlog.retire(ctx, s.entry)
 
-	// Deferred unlocks here and below: pin GC and write-back issue media
-	// ops, and a crash-injection panic mid-section must not leak the lock to
-	// workers that still have to unwind through their own shields.
-	func() {
-		f.snapMu.Lock()
-		defer f.snapMu.Unlock()
-		for i, sn := range f.snaps {
-			if sn == s {
-				f.snaps = append(f.snaps[:i], f.snaps[i+1:]...)
-				break
-			}
+	f.snapMu.Lock()
+	for i, sn := range f.snaps {
+		if sn == s {
+			f.snaps = append(f.snaps[:i], f.snaps[i+1:]...)
+			break
 		}
-		var max uint64
-		for _, sn := range f.snaps {
-			if sn.id > max {
-				max = sn.id
-			}
+	}
+	var max uint64
+	for _, sn := range f.snaps {
+		if sn.id > max {
+			max = sn.id
 		}
-		f.maxLiveSnap.Store(max)
-		f.gcPinsLocked(ctx)
-	}()
+	}
+	f.maxLiveSnap.Store(max)
+	f.gcPinsLocked(ctx)
+	f.snapMu.Unlock()
 
 	fs.mlog.retire(ctx, de)
 	fs.stats.SnapshotsDropped.Add(1)

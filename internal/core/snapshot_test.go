@@ -350,7 +350,7 @@ func TestSnapshotSurvivesRemount(t *testing.T) {
 		f.WriteAt(ctx, data, int64(i)*4096)
 	}
 
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestSnapshotSurvivesRemount(t *testing.T) {
 	if !bytes.Equal(got, live) {
 		t.Fatal("live image wrong after post-remount drop")
 	}
-	dev.DropVolatile()
+	dev.Recover()
 	fs3, err := Mount(ctx, dev, opts)
 	if err != nil {
 		t.Fatal(err)

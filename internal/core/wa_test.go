@@ -182,7 +182,7 @@ func TestMountObservesRecovery(t *testing.T) {
 	if _, err := h.WriteAt(ctx, make([]byte, 8192), 0); err != nil {
 		t.Fatal(err)
 	}
-	dev.DropVolatile() // simulate power loss: only the durable image survives
+	dev.Recover() // simulate power loss: only the durable image survives
 	dev.Recover()
 	fs2, err := Mount(sim.NewCtx(0, 2), dev, DefaultOptions())
 	if err != nil {

@@ -169,17 +169,13 @@ func (f *file) write(ctx *sim.Ctx, updates []Update, hist *obs.Histogram, kind o
 	f.commitChanges(ctx, entry, lo, end-lo, newSize, changes)
 
 	// Publish the new size (also recorded in the entry for recovery).
-	// Deferred unlock: SetSize persists the size word (a media op), and a
-	// crash-injection panic there must not leak sizeMu to other workers.
 	if end > f.size.Load() {
-		func() {
-			f.sizeMu.Lock(ctx)
-			defer f.sizeMu.Unlock(ctx)
-			if end > f.size.Load() {
-				f.size.Store(end)
-				f.pf.SetSize(ctx, end)
-			}
-		}()
+		f.sizeMu.Lock(ctx)
+		if end > f.size.Load() {
+			f.size.Store(end)
+			f.pf.SetSize(ctx, end)
+		}
+		f.sizeMu.Unlock(ctx)
 	}
 
 	fs.mlog.retire(ctx, entry)

@@ -164,10 +164,8 @@ func TestWriteMultiCrashAtomicity(t *testing.T) {
 			{Off: 100000, Data: bytes.Repeat([]byte{3}, 700)},
 		}
 		dev.ArmCrash(fail, fail)
-		crashed := nvm.Shield(func() {
-			hh.WriteMulti(ctx, updates)
-		})
-		if !crashed {
+		hh.WriteMulti(ctx, updates)
+		if !dev.Crashed() {
 			if fail == 1 {
 				t.Fatal("sweep never crashed")
 			}

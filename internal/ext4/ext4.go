@@ -145,13 +145,9 @@ func (fs *FS) Create(ctx *sim.Ctx, name string) (vfs.File, error) {
 		fs.files[name] = ino
 		fs.journal.commit(ctx, nil, 1) // new inode + dir entry
 	} else {
-		// Deferred unlock: truncation issues media ops, and a crash-injection
-		// panic there must not leak the inode lock.
-		func() {
-			ino.lock.Lock(ctx)
-			defer ino.lock.Unlock(ctx)
-			ino.truncateLocked(ctx, 0)
-		}()
+		ino.lock.Lock(ctx)
+		ino.truncateLocked(ctx, 0)
+		ino.lock.Unlock(ctx)
 	}
 	ino.refs++
 	return &handle{ino: ino}, nil

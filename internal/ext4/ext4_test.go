@@ -52,7 +52,7 @@ func TestDAXDataDurableWithoutFsync(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{0x5A}, 8192)
 	f.WriteAt(ctx, data, 0)
-	dev.DropVolatile()
+	dev.Recover()
 	buf := make([]byte, len(data))
 	f.ReadAt(ctx, buf, 0)
 	if !bytes.Equal(buf, data) {

@@ -149,13 +149,9 @@ func (fs *FS) Create(ctx *sim.Ctx, name string) (vfs.File, error) {
 	fs.mu.Lock(ctx)
 	defer fs.mu.Unlock(ctx)
 	if f := fs.files[name]; f != nil {
-		// Deferred unlocks here and below: discarding logs issues media ops,
-		// and a crash-injection panic there must not leak the lock.
-		func() {
-			f.ckptMu.Lock(ctx)
-			defer f.ckptMu.Unlock(ctx)
-			f.discardLogsLocked(ctx)
-		}()
+		f.ckptMu.Lock(ctx)
+		f.discardLogsLocked(ctx)
+		f.ckptMu.Unlock(ctx)
 		if _, err := fs.prov.Create(ctx, name); err != nil { // truncates
 			return nil, err
 		}
@@ -202,11 +198,9 @@ func (fs *FS) Remove(ctx *sim.Ctx, name string) error {
 	delete(fs.files, name)
 	f.removed = true
 	if f.refs == 0 {
-		func() {
-			f.ckptMu.Lock(ctx)
-			defer f.ckptMu.Unlock(ctx)
-			f.discardLogsLocked(ctx)
-		}()
+		f.ckptMu.Lock(ctx)
+		f.discardLogsLocked(ctx)
+		f.ckptMu.Unlock(ctx)
 	}
 	return fs.prov.Remove(ctx, name)
 }
@@ -214,18 +208,14 @@ func (fs *FS) Remove(ctx *sim.Ctx, name string) error {
 // discardLogsLocked drops every log block without applying it.
 func (f *file) discardLogsLocked(ctx *sim.Ctx) {
 	for pg, bl := range f.index {
-		// Deferred unlock: retiring the block header is a media op, and a
-		// crash-injection panic there must not leak the per-block lock.
-		func() {
-			bl.lock.Lock(ctx)
-			defer bl.lock.Unlock(ctx)
-			if bl.mask != 0 {
-				f.fs.dev.Store8(ctx, f.fs.headerOff(bl.logOff)+hdrMask, 0)
-				bl.mask = 0
-			}
-			f.fs.dev.Store8(ctx, f.fs.headerOff(bl.logOff)+hdrTag, 0)
-			f.fs.prov.Alloc().Free(ctx, bl.logOff, 1)
-		}()
+		bl.lock.Lock(ctx)
+		if bl.mask != 0 {
+			f.fs.dev.Store8(ctx, f.fs.headerOff(bl.logOff)+hdrMask, 0)
+			bl.mask = 0
+		}
+		f.fs.dev.Store8(ctx, f.fs.headerOff(bl.logOff)+hdrTag, 0)
+		f.fs.prov.Alloc().Free(ctx, bl.logOff, 1)
+		bl.lock.Unlock(ctx)
 		delete(f.index, pg)
 	}
 	f.dirtyMu.Lock()
@@ -367,17 +357,13 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		cur = hi
 	}
 
-	// Deferred unlock: SetSize persists the size word (a media op), and a
-	// crash-injection panic there must not leak sizeMu.
 	if end > f.size.Load() {
-		func() {
-			f.sizeMu.Lock(ctx)
-			defer f.sizeMu.Unlock(ctx)
-			if end > f.size.Load() {
-				f.size.Store(end)
-				f.pf.SetSize(ctx, end)
-			}
-		}()
+		f.sizeMu.Lock(ctx)
+		if end > f.size.Load() {
+			f.size.Store(end)
+			f.pf.SetSize(ctx, end)
+		}
+		f.sizeMu.Unlock(ctx)
 	}
 
 	f.maybeDrain(ctx)
@@ -644,19 +630,15 @@ func (f *file) checkpoint(ctx *sim.Ctx, commit bool) {
 		return
 	}
 	for pg, bl := range snapshot {
-		// Deferred unlock: applying/clearing the block log issues media ops,
-		// and a crash-injection panic there must not leak the per-block lock.
-		func() {
-			bl.lock.Lock(ctx)
-			defer bl.lock.Unlock(ctx)
-			if bl.mask != 0 {
-				if !bl.undo {
-					f.copyUnits(ctx, bl.mask, f.pf, pg*blockSize, bl.logOff, false)
-				}
-				bl.mask = 0
-				f.fs.dev.Store8(ctx, f.fs.headerOff(bl.logOff)+hdrMask, 0)
+		bl.lock.Lock(ctx)
+		if bl.mask != 0 {
+			if !bl.undo {
+				f.copyUnits(ctx, bl.mask, f.pf, pg*blockSize, bl.logOff, false)
 			}
-		}()
+			bl.mask = 0
+			f.fs.dev.Store8(ctx, f.fs.headerOff(bl.logOff)+hdrMask, 0)
+		}
+		bl.lock.Unlock(ctx)
 	}
 	f.fs.dev.Fence(ctx)
 	if commit {

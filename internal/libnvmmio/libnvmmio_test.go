@@ -95,7 +95,7 @@ func TestCrashSemantics(t *testing.T) {
 	// data.
 	f.WriteAt(ctx, bytes.Repeat([]byte{0xBB}, 1000), 500)
 
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev)
 	if err != nil {
 		t.Fatalf("Mount: %v", err)
@@ -133,13 +133,15 @@ func TestCrashSweepFsyncBoundary(t *testing.T) {
 		f.Fsync(ctx)
 
 		dev.ArmCrash(fail, fail+31)
-		crashed := nvm.Shield(func() {
-			f.WriteAt(ctx, update, 1000)
-			f.Fsync(ctx)
-			f.WriteAt(ctx, update, 9000)
-			f.Fsync(ctx)
-		})
-		if !crashed {
+		for _, off := range []int64{1000, 9000} {
+			if !dev.Crashed() {
+				f.WriteAt(ctx, update, off)
+			}
+			if !dev.Crashed() {
+				f.Fsync(ctx)
+			}
+		}
+		if !dev.Crashed() {
 			if fail == 0 {
 				t.Fatal("sweep never crashed")
 			}
@@ -250,7 +252,7 @@ func TestRemovedFileLogsCleared(t *testing.T) {
 	f.Close(ctx)
 	fs.Remove(ctx, "f")
 
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev)
 	if err != nil {
 		t.Fatal(err)

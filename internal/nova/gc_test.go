@@ -50,7 +50,7 @@ func TestGCPreservesContent(t *testing.T) {
 	if !bytes.Equal(buf, ref) {
 		t.Fatal("content diverged during GC churn")
 	}
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev)
 	if err != nil {
 		t.Fatalf("Mount after GC: %v", err)
@@ -75,16 +75,14 @@ func TestGCCrashAtomicity(t *testing.T) {
 
 		dev.ArmCrash(fail, fail)
 		written := map[int64]byte{}
-		nvm.Shield(func() {
-			for i := 0; i < 2000; i++ {
-				off := int64(i%16) * 4096
-				pat := byte(i%250 + 1)
-				if _, err := f.WriteAt(ctx, bytes.Repeat([]byte{pat}, 4096), off); err != nil {
-					return
-				}
-				written[off] = pat
+		for i := 0; i < 2000 && !dev.Crashed(); i++ {
+			off := int64(i%16) * 4096
+			pat := byte(i%250 + 1)
+			if _, err := f.WriteAt(ctx, bytes.Repeat([]byte{pat}, 4096), off); err != nil || dev.Crashed() {
+				break
 			}
-		})
+			written[off] = pat
+		}
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := Mount(ctx, dev)

@@ -241,13 +241,9 @@ func (fs *FS) Create(ctx *sim.Ctx, name string) (vfs.File, error) {
 	fs.mu.Lock(ctx)
 	defer fs.mu.Unlock(ctx)
 	if ino := fs.files[name]; ino != nil {
-		// Deferred unlock: truncation issues media ops, and a crash-injection
-		// panic there must not leak the inode lock.
-		err := func() error {
-			ino.lock.Lock(ctx)
-			defer ino.lock.Unlock(ctx)
-			return ino.truncateLocked(ctx, 0)
-		}()
+		ino.lock.Lock(ctx)
+		err := ino.truncateLocked(ctx, 0)
+		ino.lock.Unlock(ctx)
 		if err != nil {
 			return nil, err
 		}

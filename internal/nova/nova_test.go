@@ -27,7 +27,7 @@ func TestEveryWriteDurableWithoutFsync(t *testing.T) {
 	data := bytes.Repeat([]byte{0x42}, 6000) // unaligned, multi-page
 	f.WriteAt(ctx, data, 100)
 
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev)
 	if err != nil {
 		t.Fatalf("Mount: %v", err)
@@ -61,10 +61,8 @@ func TestCrashSweepWriteAtomicity(t *testing.T) {
 		f.WriteAt(ctx, old, 0)
 
 		dev.ArmCrash(fail, fail+100)
-		crashed := nvm.Shield(func() {
-			f.WriteAt(ctx, new_, 1000)
-		})
-		if !crashed {
+		f.WriteAt(ctx, new_, 1000)
+		if !dev.Crashed() {
 			// The whole op completed before the fail point: sweep is done.
 			if fail == 0 {
 				t.Fatal("crash sweep never triggered")
@@ -141,7 +139,7 @@ func TestLogPageChaining(t *testing.T) {
 		f.WriteAt(ctx, []byte{byte(i)}, int64(i)*4096)
 	}
 	// Remount and verify everything replays across the chain.
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +169,7 @@ func TestRemoveReclaimsSpace(t *testing.T) {
 		t.Fatalf("%d blocks leaked after remove", used)
 	}
 	// The slot must be reusable and the file gone after remount.
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := Mount(ctx, dev)
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func TestWorkerOpAttribution(t *testing.T) {
 }
 
 // CrashInfo attributes the torn operation to the worker that issued it, and
-// the OnCrash hook fires exactly once before the panic unwinds.
+// the OnCrash hook fires exactly once.
 func TestCrashInfoAndHook(t *testing.T) {
 	d := New(1<<20, sim.ZeroCosts())
 	a := sim.NewCtx(5, 1)
@@ -71,21 +71,11 @@ func TestCrashInfoAndHook(t *testing.T) {
 	})
 	d.ArmCrash(2, 99)
 
-	crashed := func() (c bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != ErrCrashed {
-					panic(r)
-				}
-				c = true
-			}
-		}()
-		d.WriteNT(a, buf, 64)  // survives: 1st media op since arming
-		d.WriteNT(a, buf, 128) // survives: 2nd
-		d.WriteNT(a, buf, 192) // torn: device-lifetime media op 4
-		return false
-	}()
-	if !crashed {
+	d.WriteNT(a, buf, 64)  // survives: 1st media op since arming
+	d.WriteNT(a, buf, 128) // survives: 2nd
+	d.WriteNT(a, buf, 192) // torn: device-lifetime media op 4
+	d.WriteNT(a, buf, 256) // after the cut: overlay only
+	if !d.Crashed() {
 		t.Fatal("device did not crash at the armed fail point")
 	}
 	op, w := d.CrashInfo()

@@ -10,9 +10,10 @@
 //     build commit protocols from;
 //   - media accounting: every byte that reaches the durable image is counted,
 //     which is how the write-amplification experiment (Table II) is measured;
-//   - deterministic crash injection: the device can be armed to fail after N
-//     media operations, tearing the in-flight operation at 8-byte granularity,
-//     after which only the durable image survives.
+//   - deterministic crash injection: the device can be armed to cut power
+//     after N media operations. It tears the in-flight operation at 8-byte
+//     granularity and freezes the durable image; software keeps running on
+//     the volatile overlay, and Recover restarts from the frozen image.
 //
 // All operations charge virtual time to the caller's sim.Ctx using the cost
 // model in internal/sim and reserve bandwidth on a shared timeline, so the
@@ -20,7 +21,6 @@
 package nvm
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -33,10 +33,6 @@ import (
 
 // LineSize is the CPU cache-line size in bytes.
 const LineSize = 64
-
-// ErrCrashed is the panic value raised when the device hits an armed fail
-// point, and the error returned by operations on a crashed device.
-var ErrCrashed = errors.New("nvm: device crashed")
 
 // Stats aggregates media-level counters. All fields are monotonically
 // increasing and safe to read concurrently. The fields are obs.Counter so
@@ -53,7 +49,8 @@ type Stats struct {
 	// Fences counts Fence calls.
 	Fences obs.Counter
 	// MediaOps counts persistence-affecting operations (used by the crash
-	// injector's fail-after counter).
+	// injector's fail-after counter). Like every counter here it stops at
+	// the power cut.
 	MediaOps obs.Counter
 
 	// workerOps attributes media operations to the sim.Ctx.ID that issued
@@ -106,7 +103,7 @@ func (s *Stats) Workers() map[int]int64 {
 // gives software).
 type Device struct {
 	mem     []byte          // current contents (volatile view: caches + media)
-	durable []byte          // what survives a crash
+	durable []byte          // what survives a crash; frozen from the power cut on
 	dirty   []atomic.Uint64 // one bit per cache line: mem differs from durable
 
 	costs    sim.Costs
@@ -159,21 +156,25 @@ func (d *Device) Costs() *sim.Costs { return &d.costs }
 // simulations can charge DMA-like transfers against the same bandwidth).
 func (d *Device) Timeline() *sim.Timeline { return d.timeline }
 
-func (d *Device) check(off int64, n int) {
+// check bounds-checks an access and reports whether the device still has
+// power. After the cut an op reaches only the volatile overlay: it charges
+// no time and moves no counter.
+func (d *Device) check(off int64, n int) (live bool) {
 	if off < 0 || n < 0 || off+int64(n) > int64(len(d.mem)) {
 		panic(fmt.Sprintf("nvm: out of range access off=%d len=%d size=%d", off, n, len(d.mem)))
 	}
-	if d.crashed.Load() {
-		panic(ErrCrashed)
-	}
+	return !d.crashed.Load()
 }
 
 // Read copies n=len(buf) bytes at off into buf, charging read latency and
 // bandwidth. Reads observe the volatile view (caches included), like loads on
 // real hardware.
 func (d *Device) Read(ctx *sim.Ctx, buf []byte, off int64) {
-	d.check(off, len(buf))
+	live := d.check(off, len(buf))
 	copy(buf, d.mem[off:off+int64(len(buf))])
+	if !live {
+		return
+	}
 	d.stats.MediaReadBytes.Add(int64(len(buf)))
 	if ctx.Tally != nil {
 		ctx.Tally.ReadBytes.Add(int64(len(buf)))
@@ -186,8 +187,11 @@ func (d *Device) Read(ctx *sim.Ctx, buf []byte, off int64) {
 // immediately but is volatile until the covering lines are flushed. The cost
 // charged here is the store cost; media bandwidth is charged at Flush time.
 func (d *Device) Write(ctx *sim.Ctx, data []byte, off int64) {
-	d.check(off, len(data))
+	live := d.check(off, len(data))
 	copy(d.mem[off:off+int64(len(data))], data)
+	if !live {
+		return
+	}
 	d.markDirty(off, len(data))
 	ctx.Advance(d.costs.DRAMCopyCost(len(data)))
 }
@@ -197,16 +201,17 @@ func (d *Device) Write(ctx *sim.Ctx, data []byte, off int64) {
 // reach the write-pending queue are in the persistence domain). Media write
 // bandwidth is charged immediately.
 func (d *Device) WriteNT(ctx *sim.Ctx, data []byte, off int64) {
-	d.check(off, len(data))
-	d.hitFailPoint(ctx, func(rng *rand.Rand) {
+	if !d.check(off, len(data)) || d.hitFailPoint(ctx, func(rng *rand.Rand) {
 		// Tear the write at 8-byte granularity: persist a random prefix.
 		k := rng.Intn(len(data)/8+1) * 8
 		if k > len(data) {
 			k = len(data)
 		}
-		copy(d.mem[off:off+int64(k)], data[:k])
 		copy(d.durable[off:off+int64(k)], data[:k])
-	})
+	}) {
+		copy(d.mem[off:off+int64(len(data))], data)
+		return
+	}
 	copy(d.mem[off:off+int64(len(data))], data)
 	copy(d.durable[off:off+int64(len(data))], data)
 	d.clearDirty(off, len(data))
@@ -224,8 +229,7 @@ func (d *Device) WriteNT(ctx *sim.Ctx, data []byte, off int64) {
 // clwb issue costs and media write bandwidth for the lines actually written.
 // It returns the number of bytes persisted.
 func (d *Device) Flush(ctx *sim.Ctx, off int64, n int) int {
-	d.check(off, n)
-	if n == 0 {
+	if !d.check(off, n) || n == 0 {
 		return 0
 	}
 	first := off / LineSize
@@ -239,7 +243,7 @@ func (d *Device) Flush(ctx *sim.Ctx, off int64, n int) int {
 	if len(lines) == 0 {
 		return 0
 	}
-	d.hitFailPoint(ctx, func(rng *rand.Rand) {
+	if d.hitFailPoint(ctx, func(rng *rand.Rand) {
 		// Persist a random prefix of the lines; the last persisted line may
 		// itself be torn at 8-byte granularity.
 		k := rng.Intn(len(lines) + 1)
@@ -249,7 +253,9 @@ func (d *Device) Flush(ctx *sim.Ctx, off int64, n int) int {
 		if k < len(lines) {
 			d.persistLine(lines[k], rng.Intn(LineSize/8+1)*8)
 		}
-	})
+	}) {
+		return 0
+	}
 	for _, l := range lines {
 		d.persistLine(l, LineSize)
 		d.clearDirtyLine(l)
@@ -281,7 +287,7 @@ func (d *Device) persistLine(line int64, bytes int) {
 // the simulated fault model (see DESIGN.md).
 func (d *Device) Fence(ctx *sim.Ctx) {
 	if d.crashed.Load() {
-		panic(ErrCrashed)
+		return
 	}
 	d.stats.Fences.Add(1)
 	ctx.Advance(d.costs.Fence)
@@ -304,13 +310,14 @@ func (d *Device) Load8(off int64) uint64 {
 // (ntstore of an aligned quadword + fence). This is the primitive that
 // 8-byte-atomic commit protocols rely on.
 func (d *Device) Store8(ctx *sim.Ctx, off int64, v uint64) {
-	d.check8(off)
-	d.hitFailPoint(ctx, func(rng *rand.Rand) {
+	if !d.check8(off) || d.hitFailPoint(ctx, func(rng *rand.Rand) {
 		if rng.Intn(2) == 1 { // the store may or may not have reached media
-			(*atomic.Uint64)(unsafe.Pointer(&d.mem[off])).Store(v)
 			(*atomic.Uint64)(unsafe.Pointer(&d.durable[off])).Store(v)
 		}
-	})
+	}) {
+		(*atomic.Uint64)(unsafe.Pointer(&d.mem[off])).Store(v)
+		return
+	}
 	(*atomic.Uint64)(unsafe.Pointer(&d.mem[off])).Store(v)
 	(*atomic.Uint64)(unsafe.Pointer(&d.durable[off])).Store(v)
 	d.stats.MediaWriteBytes.Add(8)
@@ -325,16 +332,20 @@ func (d *Device) Store8(ctx *sim.Ctx, off int64, v uint64) {
 // CAS8 performs an atomic compare-and-swap on the 8-byte word at off,
 // persisting the new value on success.
 func (d *Device) CAS8(ctx *sim.Ctx, off int64, old, new uint64) bool {
-	d.check8(off)
-	ctx.Advance(d.costs.Atomic)
+	live := d.check8(off)
+	if live {
+		ctx.Advance(d.costs.Atomic)
+	}
 	if !(*atomic.Uint64)(unsafe.Pointer(&d.mem[off])).CompareAndSwap(old, new) {
 		return false
 	}
-	d.hitFailPoint(ctx, func(rng *rand.Rand) {
+	if !live || d.hitFailPoint(ctx, func(rng *rand.Rand) {
 		if rng.Intn(2) == 1 {
 			(*atomic.Uint64)(unsafe.Pointer(&d.durable[off])).Store(new)
 		}
-	})
+	}) {
+		return true
+	}
 	(*atomic.Uint64)(unsafe.Pointer(&d.durable[off])).Store(new)
 	d.stats.MediaWriteBytes.Add(8)
 	d.stats.MediaOps.Add(1)
@@ -346,11 +357,11 @@ func (d *Device) CAS8(ctx *sim.Ctx, off int64, old, new uint64) bool {
 	return true
 }
 
-func (d *Device) check8(off int64) {
+func (d *Device) check8(off int64) (live bool) {
 	if off%8 != 0 {
 		panic(fmt.Sprintf("nvm: unaligned 8-byte access at %d", off))
 	}
-	d.check(off, 8)
+	return d.check(off, 8)
 }
 
 // ---- dirty-line bitmap ----
@@ -395,8 +406,8 @@ func (d *Device) testDirty(l int64) bool {
 
 // ---- crash injection ----
 
-// ArmCrash arms the fail point: after n more media operations the device
-// crashes, tearing the in-flight operation using a PRNG seeded with seed.
+// ArmCrash arms the fail point: the n-th media operation from now is torn,
+// using a PRNG seeded with seed, and then the device cuts power.
 func (d *Device) ArmCrash(n int64, seed int64) {
 	d.crashMu.Lock()
 	d.crashRand = rand.New(rand.NewSource(seed))
@@ -409,23 +420,27 @@ func (d *Device) ArmCrash(n int64, seed int64) {
 // DisarmCrash disables the fail point.
 func (d *Device) DisarmCrash() { d.failAfter.Store(-1) }
 
-// OnCrash registers fn to be invoked exactly once at the crash instant,
-// after the in-flight operation has been torn but before the crash panic
-// unwinds. Concurrent harnesses use it to capture which operations were in
-// flight at the moment of failure. Set it before ArmCrash; pass nil to
-// clear.
+// OnCrash registers fn to be invoked exactly once at the crash instant:
+// after the in-flight operation has been torn, before the cut is published
+// (inside fn, Crashed still reports false). Harnesses mark the crash in
+// their schedules here, so every op that returns after the mark saw the
+// cut and counts as in flight. Set it before ArmCrash; pass nil to clear.
 func (d *Device) OnCrash(fn func(worker int, mediaOp int64)) {
 	d.crashMu.Lock()
 	d.onCrash = fn
 	d.crashMu.Unlock()
 }
 
-func (d *Device) hitFailPoint(ctx *sim.Ctx, tear func(*rand.Rand)) {
+// hitFailPoint counts one media op against the armed fail point. On the
+// fail point it tears the op in flight into the durable image, runs the
+// OnCrash callback and cuts power, and reports true: the caller then
+// completes the op in the overlay only.
+func (d *Device) hitFailPoint(ctx *sim.Ctx, tear func(*rand.Rand)) bool {
 	if d.failAfter.Load() < 0 {
-		return
+		return false
 	}
 	if d.failAfter.Add(-1) != -1 {
-		return
+		return false
 	}
 	d.crashMu.Lock()
 	rng := d.crashRand
@@ -433,38 +448,22 @@ func (d *Device) hitFailPoint(ctx *sim.Ctx, tear func(*rand.Rand)) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	tear(rng)
-	// The torn operation itself never reaches the MediaOps counter (it
-	// panics below), so its index is one past everything counted so far.
+	// The torn operation itself never reaches the MediaOps counter, so its
+	// index is one past everything counted so far.
 	d.crashOp = d.stats.MediaOps.Load() + 1
 	d.crashWorker = ctx.ID
 	fn := d.onCrash
 	worker, op := d.crashWorker, d.crashOp
 	d.crashMu.Unlock()
-	d.crashed.Store(true)
 	if fn != nil {
 		fn(worker, op)
 	}
-	panic(ErrCrashed)
+	d.crashed.Store(true)
+	return true
 }
 
-// Shield runs body and reports whether it was cut short by the crash panic
-// (ErrCrashed), which it absorbs; any other panic propagates. Every
-// goroutine that may touch a crash-armed device does its work inside
-// Shield, so a crash unwinds only that goroutine — never the process.
-func Shield(body func()) (crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != ErrCrashed {
-				panic(r)
-			}
-			crashed = true
-		}
-	}()
-	body()
-	return false
-}
-
-// Crashed reports whether the device has hit its fail point.
+// Crashed reports whether the device has hit its fail point and cut power.
+// Drivers check it before each op and stop at the cut.
 func (d *Device) Crashed() bool { return d.crashed.Load() }
 
 // CrashInfo reports where the armed crash landed: the device-lifetime index
@@ -481,10 +480,11 @@ func (d *Device) CrashInfo() (mediaOp int64, worker int) {
 	return d.crashOp, d.crashWorker
 }
 
-// Recover simulates machine restart: the volatile view is discarded and
-// reset to the durable image, and the device becomes usable again. The
-// caller is responsible for discarding all software state (file system
-// objects, locks) built on the previous incarnation.
+// Recover simulates machine restart, after a power cut or as a plain power
+// loss on a live device: the volatile overlay is reset to the durable image,
+// the fail point is disarmed, and power is back. The caller discards all
+// software state (file system objects, locks) built on the previous
+// incarnation and must have stopped every worker driving the device.
 func (d *Device) Recover() {
 	copy(d.mem, d.durable)
 	for i := range d.dirty {
@@ -492,15 +492,6 @@ func (d *Device) Recover() {
 	}
 	d.crashed.Store(false)
 	d.failAfter.Store(-1)
-}
-
-// DropVolatile discards unflushed data without marking the device crashed
-// (used by tests that want to inspect "what would survive" repeatedly).
-func (d *Device) DropVolatile() {
-	copy(d.mem, d.durable)
-	for i := range d.dirty {
-		d.dirty[i].Store(0)
-	}
 }
 
 // Inspect returns a copy of n bytes of the volatile view at off without

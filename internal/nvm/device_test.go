@@ -31,11 +31,11 @@ func TestTemporalWriteIsVolatileUntilFlushed(t *testing.T) {
 	if got := d.InspectDurable(0, len(data)); bytes.Equal(got, data) {
 		t.Fatal("temporal write reached durable image before flush")
 	}
-	d.DropVolatile()
+	d.Recover()
 	buf := make([]byte, len(data))
 	d.Read(ctx, buf, 0)
 	if bytes.Equal(buf, data) {
-		t.Fatal("unflushed write survived DropVolatile")
+		t.Fatal("unflushed write survived Recover")
 	}
 
 	d.Write(ctx, data, 0)
@@ -43,10 +43,10 @@ func TestTemporalWriteIsVolatileUntilFlushed(t *testing.T) {
 	if got := d.InspectDurable(0, len(data)); !bytes.Equal(got, data) {
 		t.Fatalf("flushed write missing from durable image: %q", got)
 	}
-	d.DropVolatile()
+	d.Recover()
 	d.Read(ctx, buf, 0)
 	if !bytes.Equal(buf, data) {
-		t.Fatal("flushed write lost after DropVolatile")
+		t.Fatal("flushed write lost after Recover")
 	}
 }
 
@@ -82,7 +82,7 @@ func TestStore8AtomicityAndDurability(t *testing.T) {
 	if got := d.Load8(64); got != 0xdeadbeefcafef00d {
 		t.Fatalf("Load8 = %#x", got)
 	}
-	d.DropVolatile()
+	d.Recover()
 	if got := d.Load8(64); got != 0xdeadbeefcafef00d {
 		t.Fatalf("Store8 not durable: %#x", got)
 	}
@@ -97,7 +97,7 @@ func TestCAS8(t *testing.T) {
 	if !d.CAS8(ctx, 0, 10, 20) {
 		t.Fatal("CAS with right expected value failed")
 	}
-	d.DropVolatile()
+	d.Recover()
 	if got := d.Load8(0); got != 20 {
 		t.Fatalf("CAS result not durable: %d", got)
 	}
@@ -128,19 +128,15 @@ func TestCrashInjectionTearsInFlightOp(t *testing.T) {
 		d, ctx := newTestDevice(4096)
 		pattern := bytes.Repeat([]byte{0xAB}, 256)
 		d.ArmCrash(0, seed) // crash on the very next media op
-		func() {
-			defer func() {
-				if r := recover(); r != ErrCrashed {
-					t.Fatalf("seed %d: panic = %v, want ErrCrashed", seed, r)
-				}
-			}()
-			d.WriteNT(ctx, pattern, 0)
-			t.Fatalf("seed %d: WriteNT survived armed crash", seed)
-		}()
+		d.WriteNT(ctx, pattern, 0)
 		if !d.Crashed() {
 			t.Fatalf("seed %d: device not marked crashed", seed)
 		}
-		// The durable image must hold an 8-byte-granular prefix of the write.
+		// The torn op completes in the overlay only; the durable image must
+		// hold an 8-byte-granular prefix of the write.
+		if !bytes.Equal(d.Inspect(0, 256), pattern) {
+			t.Fatalf("seed %d: torn op did not complete in the overlay", seed)
+		}
 		got := d.InspectDurable(0, 256)
 		torn := 0
 		for torn < 256 && got[torn] == 0xAB {
@@ -173,53 +169,89 @@ func TestCrashAfterNOps(t *testing.T) {
 	d.WriteNT(ctx, []byte{1}, 0)
 	d.WriteNT(ctx, []byte{2}, 64)
 	d.WriteNT(ctx, []byte{3}, 128)
-	Shield(func() {
-		d.WriteNT(ctx, []byte{4}, 192)
-		t.Fatal("4th media op survived")
-	})
+	if d.Crashed() {
+		t.Fatal("device crashed before the fail point")
+	}
+	d.WriteNT(ctx, []byte{4}, 192)
 	if !d.Crashed() {
 		t.Fatal("device should have crashed on op 4")
 	}
 }
 
-func TestOpsOnCrashedDevicePanic(t *testing.T) {
+// TestOpsAfterCutChangeOnlyOverlay: after the power cut every op still runs
+// to completion, but only against the volatile overlay. The durable image
+// and every media counter stay frozen at the cut, and Recover brings back
+// the frozen image.
+func TestOpsAfterCutChangeOnlyOverlay(t *testing.T) {
 	d, ctx := newTestDevice(4096)
+	d.Store8(ctx, 512, 7)
 	d.ArmCrash(0, 1)
-	Shield(func() { d.WriteNT(ctx, []byte{1}, 0) })
-	defer func() {
-		if recover() != ErrCrashed {
-			t.Fatal("op on crashed device did not panic with ErrCrashed")
-		}
-	}()
-	d.Read(ctx, make([]byte, 1), 0)
+	d.WriteNT(ctx, []byte{1}, 0)
+	if !d.Crashed() {
+		t.Fatal("armed op did not cut power")
+	}
+	frozen := d.InspectDurable(0, 4096)
+	st := d.Stats()
+	counters := func() [5]int64 {
+		return [5]int64{st.MediaWriteBytes.Load(), st.MediaReadBytes.Load(),
+			st.Flushes.Load(), st.Fences.Load(), st.MediaOps.Load()}
+	}
+	before := counters()
+
+	d.Write(ctx, bytes.Repeat([]byte{2}, 64), 64)
+	d.Flush(ctx, 64, 64)
+	d.WriteNT(ctx, bytes.Repeat([]byte{3}, 64), 128)
+	d.Store8(ctx, 256, 4)
+	if !d.CAS8(ctx, 512, 7, 5) || d.CAS8(ctx, 512, 7, 6) {
+		t.Fatal("CAS8 after the cut lost its compare-and-swap semantics")
+	}
+	d.Persist(ctx, 0, 4096)
+	buf := make([]byte, 64)
+	d.Read(ctx, buf, 128)
+
+	if !bytes.Equal(buf, bytes.Repeat([]byte{3}, 64)) || d.Inspect(64, 1)[0] != 2 ||
+		d.Load8(256) != 4 || d.Load8(512) != 5 {
+		t.Fatal("ops after the cut did not reach the overlay")
+	}
+	if !bytes.Equal(d.InspectDurable(0, 4096), frozen) {
+		t.Fatal("ops after the cut changed the durable image")
+	}
+	if got := counters(); got != before {
+		t.Fatalf("media counters moved after the cut: %v -> %v", before, got)
+	}
+	d.Recover()
+	if !bytes.Equal(d.Inspect(0, 4096), frozen) {
+		t.Fatal("Recover did not reset the overlay to the frozen image")
+	}
 }
 
-// TestShield pins Shield's contract: it runs the body, absorbs the crash
-// panic and reports it, passes every other panic through, and reports
-// false when the body completes.
-func TestShield(t *testing.T) {
-	ran := false
-	if Shield(func() { ran = true }) || !ran {
-		t.Fatalf("completed body: ran=%v, want Shield to run it and report no crash", ran)
-	}
-
-	d, ctx := newTestDevice(4096)
-	d.ArmCrash(0, 1)
-	after := false
-	if !Shield(func() { d.WriteNT(ctx, []byte{1}, 0); after = true }) {
-		t.Fatal("crash panic not reported")
-	}
-	if after {
-		t.Fatal("body kept running past the crash panic")
-	}
-
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("re-panicked with %v, want the body's own value", r)
+// TestOnCrashRunsBeforeCut pins the ordering rule harnesses build on:
+// OnCrash runs after the tear has reached the durable image but before the
+// cut is published, so an op that returns after the callback saw the cut.
+func TestOnCrashRunsBeforeCut(t *testing.T) {
+	pattern := bytes.Repeat([]byte{0xAB}, 256)
+	tornSeen := false
+	for seed := int64(0); seed < 20; seed++ {
+		d, ctx := newTestDevice(4096)
+		var inside []byte
+		live := false
+		d.OnCrash(func(int, int64) {
+			live = !d.Crashed()
+			inside = d.InspectDurable(0, 256)
+		})
+		d.ArmCrash(0, seed)
+		d.WriteNT(ctx, pattern, 0)
+		if !live {
+			t.Fatalf("seed %d: Crashed() was already true inside OnCrash", seed)
 		}
-	}()
-	Shield(func() { panic("boom") })
-	t.Fatal("a non-crash panic was swallowed")
+		if !bytes.Equal(inside, d.InspectDurable(0, 256)) {
+			t.Fatalf("seed %d: OnCrash ran before the tear reached the durable image", seed)
+		}
+		tornSeen = tornSeen || inside[0] == 0xAB
+	}
+	if !tornSeen {
+		t.Fatal("no seed persisted a nonempty torn prefix; the check is vacuous")
+	}
 }
 
 func TestVirtualTimeCharges(t *testing.T) {
@@ -268,7 +300,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestDurabilityProperty: any flushed write survives DropVolatile, any
+// TestDurabilityProperty: any flushed write survives Recover, any
 // unflushed write does not leak into the durable image beyond line sharing.
 func TestDurabilityProperty(t *testing.T) {
 	f := func(off uint16, sz uint8, fill byte, doFlush bool) bool {
@@ -280,7 +312,7 @@ func TestDurabilityProperty(t *testing.T) {
 		if doFlush {
 			d.Persist(ctx, o, n)
 		}
-		d.DropVolatile()
+		d.Recover()
 		buf := make([]byte, n)
 		d.Read(ctx, buf, o)
 		if doFlush {

@@ -92,7 +92,7 @@ func TestSetSizePersists(t *testing.T) {
 	f.Fence(ctx) // data durable before the size word publishes it
 	f.SetSize(ctx, 5)
 
-	p.Device().DropVolatile()
+	p.Device().Recover()
 	p2, err := Recover(ctx, p.Device(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestRecoverRebuildsAllocator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p.Device().DropVolatile()
+	p.Device().Recover()
 	p2, err := Recover(ctx, p.Device(), 1<<20)
 	if err != nil {
 		t.Fatal(err)

@@ -504,9 +504,7 @@ func (c *conn) handleRead(id uint32, body []byte) {
 		return
 	}
 	buf := make([]byte, n)
-	var got int
-	var err error
-	nvm.Shield(func() { got, err = sf.vf.ReadAt(c.srv.newCtx(), buf, off) })
+	got, err := sf.vf.ReadAt(c.srv.newCtx(), buf, off)
 	if c.srv.crashed.Load() || sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpRead, id, StatusCrashed, nil)
@@ -566,8 +564,7 @@ func (c *conn) handleFsync(id uint32, body []byte) {
 	if sf == nil {
 		return
 	}
-	var err error
-	nvm.Shield(func() { err = sf.vf.Fsync(c.srv.newCtx()) })
+	err := sf.vf.Fsync(c.srv.newCtx())
 	if sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpFsync, id, StatusCrashed, nil)
@@ -589,9 +586,7 @@ func (c *conn) handleSnapshot(id uint32, body []byte) {
 		c.replyErr(OpSnapshot, id, c.srv.deadErr())
 		return
 	}
-	var sid core.SnapID
-	var err error
-	nvm.Shield(func() { sid, err = sf.sh.fs.Snapshot(c.srv.newCtx(), sf.key) })
+	sid, err := sf.sh.fs.Snapshot(c.srv.newCtx(), sf.key)
 	if sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpSnapshot, id, StatusCrashed, nil)
@@ -620,8 +615,7 @@ func (c *conn) handleDrop(id uint32, body []byte) {
 		c.replyErr(OpDrop, id, c.srv.deadErr())
 		return
 	}
-	var err error
-	nvm.Shield(func() { err = sf.sh.fs.DropSnapshot(c.srv.newCtx(), sf.key, snapID) })
+	err := sf.sh.fs.DropSnapshot(c.srv.newCtx(), sf.key, snapID)
 	if sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
 		c.reply(OpDrop, id, StatusCrashed, nil)

@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"mgsp/internal/core"
 	"mgsp/internal/obs"
 	"mgsp/internal/server"
 	"mgsp/internal/server/client"
+	"mgsp/internal/sim"
 )
 
 // pipeClient wires a client to srv over an in-process net.Pipe.
@@ -456,5 +458,55 @@ func TestManyTenantsManyShards(t *testing.T) {
 	snap := srv.Snapshot()
 	if snap.Values["server.tenants"] != 8 {
 		t.Fatalf("server.tenants = %g, want 8", snap.Values["server.tenants"])
+	}
+}
+
+// TestPostCutCommitNotAcked: a write whose group commit runs after the power
+// cut completes only on the volatile overlay, so mgspd must reply
+// StatusCrashed rather than ack it, and recovery must not find its bytes.
+func TestPostCutCommitNotAcked(t *testing.T) {
+	srv := newServer(t, server.Config{Shards: 1})
+	c := pipeClient(t, srv, "t")
+	f, err := c.Open("f", true)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	before := bytes.Repeat([]byte{1}, 4096)
+	if _, err := f.WriteAt(before, 0); err != nil {
+		t.Fatalf("pre-cut write: %v", err)
+	}
+
+	// Cut power under the server with a media op that rewrites a word to
+	// its own value: the tear leaves the durable image as it was.
+	dev := srv.Device(0)
+	ctx := sim.NewCtx(99, 1)
+	last := dev.Size() - 8
+	dev.ArmCrash(0, 1)
+	dev.Store8(ctx, last, dev.Load8(last))
+	if !dev.Crashed() {
+		t.Fatal("armed Store8 did not cut power")
+	}
+
+	if _, err := f.WriteAt(bytes.Repeat([]byte{2}, 4096), 0); !errors.Is(err, server.ErrCrashed) {
+		t.Fatalf("post-cut write: err = %v, want ErrCrashed", err)
+	}
+	srv.Close()
+
+	dev.Recover()
+	rctx := sim.NewCtx(100, 1)
+	fs, err := core.Mount(rctx, dev, srv.FSOptions())
+	if err != nil {
+		t.Fatalf("mount: %v", err)
+	}
+	h, err := fs.Open(rctx, "t/f")
+	if err != nil {
+		t.Fatalf("open after recovery: %v", err)
+	}
+	got := make([]byte, len(before))
+	if _, err := h.ReadAt(rctx, got, 0); err != nil {
+		t.Fatalf("read after recovery: %v", err)
+	}
+	if !bytes.Equal(got, before) {
+		t.Fatalf("recovered bytes %#x..., want the pre-cut write %#x...", got[:8], before[:8])
 	}
 }

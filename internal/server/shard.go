@@ -74,14 +74,10 @@ func (sh *shard) openFile(ctx *sim.Ctx, key string, create bool) (*srvFile, erro
 		sf.refs++
 		return sf, nil
 	}
-	var vf vfs.File
-	var err error
-	nvm.Shield(func() {
-		vf, err = sh.fs.Open(ctx, key)
-		if err == vfs.ErrNotExist && create {
-			vf, err = sh.fs.Create(ctx, key)
-		}
-	})
+	vf, err := sh.fs.Open(ctx, key)
+	if err == vfs.ErrNotExist && create {
+		vf, err = sh.fs.Create(ctx, key)
+	}
 	if sh.dev.Crashed() {
 		return nil, ErrCrashed
 	}
@@ -113,7 +109,7 @@ func (sf *srvFile) release(ctx *sim.Ctx) {
 	}
 	sh.mu.Unlock()
 	if last {
-		nvm.Shield(func() { sf.vf.Close(ctx) })
+		sf.vf.Close(ctx)
 	}
 }
 
@@ -128,7 +124,7 @@ func (sh *shard) closeAll(ctx *sim.Ctx) {
 	sh.open = make(map[string]*srvFile)
 	sh.mu.Unlock()
 	for _, sf := range files {
-		nvm.Shield(func() { sf.vf.Close(ctx) })
+		sf.vf.Close(ctx)
 	}
 }
 
@@ -236,8 +232,7 @@ func (sh *shard) commitRun(run fileRun) error {
 	for i, op := range run.ops {
 		updates[i] = core.Update{Off: op.off, Data: op.data}
 	}
-	var err error
-	nvm.Shield(func() { err = run.sf.mw.WriteMulti(sh.ctx, updates) })
+	err := run.sf.mw.WriteMulti(sh.ctx, updates)
 	if sh.dev.Crashed() {
 		srv.noteCrash()
 		err = ErrCrashed

@@ -24,8 +24,8 @@ type Schedule struct {
 
 // Span is one recorded operation. StartSeq/EndSeq are drawn from a single
 // global counter, so comparing them across workers is meaningful; EndSeq is
-// zero while the operation is in flight (and stays zero forever if the
-// worker died at a crash).
+// zero while the operation is in flight, and stays zero forever if the
+// operation returned only after the crash was marked.
 type Span struct {
 	Worker   int
 	Index    int    // per-worker operation index
@@ -37,7 +37,8 @@ type Span struct {
 	Tag      int64 // caller-owned correlation id (e.g. oracle op table index)
 }
 
-// InFlight reports whether the span's operation never returned.
+// InFlight reports whether the span's operation did not return before the
+// crash.
 func (s *Span) InFlight() bool { return s.EndSeq == 0 }
 
 // Before reports whether s definitely completed before t began. In-flight
@@ -66,18 +67,24 @@ func (s *Schedule) Begin(worker, index int, label string, mediaOp int64) *Span {
 	return sp
 }
 
-// End records the operation's return. Operations interrupted by a crash
-// never call End and stay in flight.
-func (s *Schedule) End(sp *Span, mediaOp int64) {
+// End records the operation's return and reports whether it completed. An
+// End that comes after MarkCrash leaves the span in flight: the op ran on
+// past the power cut, so its effects may be missing from the durable image.
+func (s *Schedule) End(sp *Span, mediaOp int64) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.crash != 0 {
+		return false
+	}
 	s.seq++
 	sp.EndSeq = s.seq
 	sp.EndOp = mediaOp
-	s.mu.Unlock()
+	return true
 }
 
-// MarkCrash stamps the crash instant into the global order, so the dump
-// shows which spans were still open when the device died.
+// MarkCrash stamps the crash instant into the global order. Devices call it
+// (through their OnCrash hook) before the cut takes effect, so every op
+// that returns after it is in flight.
 func (s *Schedule) MarkCrash() {
 	s.mu.Lock()
 	s.seq++
@@ -101,7 +108,8 @@ func (s *Schedule) Spans() []*Span {
 	return append([]*Span(nil), s.spans...)
 }
 
-// InFlightSpans returns the spans whose operations never returned.
+// InFlightSpans returns the spans whose operations did not return before
+// the crash.
 func (s *Schedule) InFlightSpans() []*Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -42,6 +42,33 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
+// TestScheduleEndAfterCrashInFlight: an op that returns after MarkCrash ran
+// on past the power cut, so End must leave its span in flight and report
+// that it did not complete.
+func TestScheduleEndAfterCrashInFlight(t *testing.T) {
+	s := NewSchedule()
+	a := s.Begin(0, 0, "write", 1)
+	b := s.Begin(1, 0, "write", 2)
+	if !s.End(a, 3) {
+		t.Fatal("End before MarkCrash reported the span incomplete")
+	}
+	s.MarkCrash()
+	if s.End(b, 4) {
+		t.Fatal("End after MarkCrash reported the span complete")
+	}
+	if a.InFlight() || !b.InFlight() {
+		t.Fatalf("in flight: a=%v b=%v, want a=false b=true", a.InFlight(), b.InFlight())
+	}
+	if got := s.InFlightSpans(); len(got) != 1 || got[0] != b {
+		t.Fatalf("InFlightSpans = %v, want [b]", got)
+	}
+	c := s.Begin(0, 1, "read", 4)
+	s.End(c, 4)
+	if b.Before(c) || !c.InFlight() {
+		t.Fatal("a span ended after the crash must precede nothing")
+	}
+}
+
 // Concurrent Begin/End must hand out unique, strictly increasing sequence
 // numbers (the oracle's happens-before order depends on it).
 func TestScheduleConcurrentSeqUnique(t *testing.T) {

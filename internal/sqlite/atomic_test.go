@@ -62,24 +62,22 @@ func TestAtomicModeCrashSweep(t *testing.T) {
 
 		committed := -1
 		dev.ArmCrash(fail, fail)
-		nvm.Shield(func() {
-			for i := 0; i < rows; i++ {
-				err := db.Exec(ctx, func(tx *Txn) error {
-					for j := 0; j < 3; j++ {
-						if err := tx.Insert(ctx, "t",
-							[]byte(fmt.Sprintf("txn%03d-row%d", i, j)),
-							[]byte(fmt.Sprintf("value-%03d-%d", i, j))); err != nil {
-							return err
-						}
+		for i := 0; i < rows && !dev.Crashed(); i++ {
+			err := db.Exec(ctx, func(tx *Txn) error {
+				for j := 0; j < 3; j++ {
+					if err := tx.Insert(ctx, "t",
+						[]byte(fmt.Sprintf("txn%03d-row%d", i, j)),
+						[]byte(fmt.Sprintf("value-%03d-%d", i, j))); err != nil {
+						return err
 					}
-					return nil
-				})
-				if err != nil {
-					return
 				}
-				committed = i
+				return nil
+			})
+			if err != nil || dev.Crashed() {
+				break
 			}
-		})
+			committed = i
+		}
 		dev.DisarmCrash()
 		if !dev.Crashed() {
 			if fail == 60 {

@@ -27,26 +27,24 @@ func TestWALCrashSweep(t *testing.T) {
 
 		committed := -1
 		dev.ArmCrash(fail, fail)
-		nvm.Shield(func() {
-			for i := 0; i < rows; i++ {
-				err := db.Exec(ctx, func(tx *Txn) error {
-					// Multi-row transaction: all three rows must commit
-					// together.
-					for j := 0; j < 3; j++ {
-						if err := tx.Insert(ctx, "t",
-							[]byte(fmt.Sprintf("txn%03d-row%d", i, j)),
-							[]byte(fmt.Sprintf("value-%03d-%d", i, j))); err != nil {
-							return err
-						}
+		for i := 0; i < rows && !dev.Crashed(); i++ {
+			err := db.Exec(ctx, func(tx *Txn) error {
+				// Multi-row transaction: all three rows must commit
+				// together.
+				for j := 0; j < 3; j++ {
+					if err := tx.Insert(ctx, "t",
+						[]byte(fmt.Sprintf("txn%03d-row%d", i, j)),
+						[]byte(fmt.Sprintf("value-%03d-%d", i, j))); err != nil {
+						return err
 					}
-					return nil
-				})
-				if err != nil {
-					return
 				}
-				committed = i
+				return nil
+			})
+			if err != nil || dev.Crashed() {
+				break
 			}
-		})
+			committed = i
+		}
 		dev.DisarmCrash()
 		if !dev.Crashed() {
 			if fail == 50 {
@@ -111,13 +109,11 @@ func TestOffModeOnMGSPPageAtomic(t *testing.T) {
 		}
 		db.CreateTable(ctx, "t")
 		dev.ArmCrash(fail, fail)
-		nvm.Shield(func() {
-			for i := 0; i < 60; i++ {
-				db.Exec(ctx, func(tx *Txn) error {
-					return tx.Insert(ctx, "t", []byte(fmt.Sprintf("k%04d", i)), []byte("v"))
-				})
-			}
-		})
+		for i := 0; i < 60 && !dev.Crashed(); i++ {
+			db.Exec(ctx, func(tx *Txn) error {
+				return tx.Insert(ctx, "t", []byte(fmt.Sprintf("k%04d", i)), []byte("v"))
+			})
+		}
 		dev.DisarmCrash()
 		dev.Recover()
 		fs2, err := core.Mount(sim.NewCtx(1, fail), dev, core.DefaultOptions())

@@ -252,7 +252,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	tx.Insert(ctx, "t", []byte("uncommitted"), []byte("no"))
 
 	// Crash: drop volatile device state and remount everything.
-	dev.DropVolatile()
+	dev.Recover()
 	fs2, err := core.Mount(ctx, dev, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -132,7 +132,7 @@ func runScript(cfg ScriptConfig, script []scriptOp, crashAt int64) (*Result, err
 			st.created++ // an in-flight creation may leave one unknown entry
 			st.inflightImg = image(script, i-1, cfg.FileSize)
 			id, err := mgsp.Snapshot(ctx, fileName)
-			if err == nil {
+			if err == nil && !b.dev.Crashed() {
 				st.completeSnap(st.addSnap(id, nil), st.inflightImg)
 			}
 			return err
@@ -142,7 +142,7 @@ func runScript(cfg ScriptConfig, script []scriptOp, crashAt int64) (*Result, err
 			return fmt.Errorf("no snapshot to drop")
 		}
 		err := mgsp.DropSnapshot(ctx, fileName, sr.id)
-		if err == nil {
+		if err == nil && !b.dev.Crashed() {
 			st.finishDrop(sr, true)
 		}
 		return err
@@ -150,18 +150,23 @@ func runScript(cfg ScriptConfig, script []scriptOp, crashAt int64) (*Result, err
 	if crashAt > 0 {
 		b.dev.ArmCrash(crashAt, cfg.Seed*31+crashAt)
 	}
-	res.Crashed = nvm.Shield(func() {
-		for i, o := range script {
-			if err := exec(i, o); err != nil {
-				st.noteErr(fmt.Errorf("op %d (%s): %w", i, o.kind, err))
-				return
-			}
-			if o.kind == opFsync {
-				synced = i
-			}
-			completed = i
+	// The op during which the cut lands ran past it, so it stays in flight:
+	// it counts toward neither prefix.
+	for i, o := range script {
+		err := exec(i, o)
+		if b.dev.Crashed() {
+			break
 		}
-	})
+		if err != nil {
+			st.noteErr(fmt.Errorf("op %d (%s): %w", i, o.kind, err))
+			break
+		}
+		if o.kind == opFsync {
+			synced = i
+		}
+		completed = i
+	}
+	res.Crashed = b.dev.Crashed()
 	b.dev.DisarmCrash()
 	res.MediaOps = b.dev.Stats().MediaOps.Load()
 	st.report(res)

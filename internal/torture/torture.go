@@ -392,9 +392,9 @@ func (r *runCtx) execute() {
 const FileName = fileName
 
 // CrashedDevice runs the configured workload until the armed crash and
-// returns the torn, pre-recovery device — raw material for external
-// recovery checkers. cfg.CrashAt must be set; an index past the workload's
-// media-op range is an error.
+// returns the cut, pre-recovery device — raw material for external
+// recovery checkers, which Recover it before they mount. cfg.CrashAt must
+// be set; an index past the workload's media-op range is an error.
 func CrashedDevice(cfg Config) (*nvm.Device, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
@@ -472,72 +472,74 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runConcurrent races one goroutine per writer. Every writer runs inside
-// nvm.Shield: a crash panic kills only that writer, and core releases
-// its locks on unwind, so blocked peers wake, hit the dead device and die
-// under their own Shield.
+// runConcurrent races one goroutine per writer. Each writer stops at the
+// power cut: the op it has in flight runs to completion on the overlay,
+// and it issues no further op and skips Close.
 func (r *runCtx) runConcurrent() {
 	var wg sync.WaitGroup
 	for w := 0; w < r.cfg.Writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			nvm.Shield(func() {
-				ctx := sim.NewCtx(w, r.cfg.Seed+int64(w)*104729+2)
-				h, err := r.fs.Open(ctx, fileName)
-				if err != nil {
-					r.st.noteErr(fmt.Errorf("writer %d open: %w", w, err))
+			ctx := sim.NewCtx(w, r.cfg.Seed+int64(w)*104729+2)
+			h, err := r.fs.Open(ctx, fileName)
+			if err != nil {
+				r.st.noteErr(fmt.Errorf("writer %d open: %w", w, err))
+				return
+			}
+			for i, o := range r.tr[w] {
+				if r.dev.Crashed() {
 					return
 				}
-				for i, o := range r.tr[w] {
-					r.exec(ctx, w, i, o, h)
-				}
+				r.exec(ctx, w, i, o, h)
+			}
+			if !r.dev.Crashed() {
 				h.Close(ctx)
-			})
+			}
 		}(w)
 	}
 	wg.Wait()
 }
 
 // runSerial interleaves the same per-writer traces on one goroutine in a
-// seeded round-robin. One Shield covers the whole loop: the first crash
-// panic stops every writer at once, which is exactly what a single-threaded
-// replay of a crash means.
+// seeded round-robin. The first cut stops every writer at once, which is
+// exactly what a single-threaded replay of a crash means.
 func (r *runCtx) runSerial() {
-	nvm.Shield(func() {
-		rng := rand.New(rand.NewSource(r.cfg.Seed ^ 0x7075726573657265))
-		ctxs := make([]*sim.Ctx, r.cfg.Writers)
-		handles := make([]vfs.File, r.cfg.Writers)
-		for w := 0; w < r.cfg.Writers; w++ {
-			ctxs[w] = sim.NewCtx(w, r.cfg.Seed+int64(w)*104729+2)
-			h, err := r.fs.Open(ctxs[w], fileName)
-			if err != nil {
-				r.st.noteErr(fmt.Errorf("writer %d open: %w", w, err))
-				return
-			}
-			handles[w] = h
+	rng := rand.New(rand.NewSource(r.cfg.Seed ^ 0x7075726573657265))
+	ctxs := make([]*sim.Ctx, r.cfg.Writers)
+	handles := make([]vfs.File, r.cfg.Writers)
+	for w := 0; w < r.cfg.Writers; w++ {
+		ctxs[w] = sim.NewCtx(w, r.cfg.Seed+int64(w)*104729+2)
+		h, err := r.fs.Open(ctxs[w], fileName)
+		if err != nil {
+			r.st.noteErr(fmt.Errorf("writer %d open: %w", w, err))
+			return
 		}
-		cursor := make([]int, r.cfg.Writers)
-		active := make([]int, r.cfg.Writers)
-		for w := range active {
-			active[w] = w
-		}
-		for len(active) > 0 {
-			k := rng.Intn(len(active))
-			w := active[k]
-			r.exec(ctxs[w], w, cursor[w], r.tr[w][cursor[w]], handles[w])
-			cursor[w]++
-			if cursor[w] == len(r.tr[w]) {
+		handles[w] = h
+	}
+	cursor := make([]int, r.cfg.Writers)
+	active := make([]int, r.cfg.Writers)
+	for w := range active {
+		active[w] = w
+	}
+	for len(active) > 0 && !r.dev.Crashed() {
+		k := rng.Intn(len(active))
+		w := active[k]
+		r.exec(ctxs[w], w, cursor[w], r.tr[w][cursor[w]], handles[w])
+		cursor[w]++
+		if cursor[w] == len(r.tr[w]) {
+			if !r.dev.Crashed() {
 				handles[w].Close(ctxs[w])
-				active = append(active[:k], active[k+1:]...)
 			}
+			active = append(active[:k], active[k+1:]...)
 		}
-	})
+	}
 }
 
 // exec issues one trace op, recording its span (and, for writes, its region
 // history entries) before the first device access and its completion after
-// the call returns. Ops interrupted by the crash stay in flight.
+// the call returns. An op that returns after the crash was marked stays in
+// flight.
 func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 	st := r.st
 	ops := func() int64 { return r.dev.Stats().MediaOps.Load() }
@@ -599,11 +601,14 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 			st.noteErr(fmt.Errorf("writer %d op %d snapshot: %w", w, i, err))
 			return
 		}
+		if !st.sched.End(sp, ops()) {
+			return // created past the cut: its commit may not be durable
+		}
 		sr := st.addSnap(id, sp)
 		// Capture the frozen image now: it is stable by construction, and
-		// the post-crash check compares against this capture. If the crash
-		// interrupts the capture the snapshot stays unverifiable (content-
-		// wise) but its existence is still checked.
+		// the post-crash check compares against this capture. A committed
+		// snapshot's image is the same on the overlay as on the durable
+		// image, so a capture that runs past the cut still holds.
 		sh, err := r.mgsp.OpenSnapshot(ctx, fileName, id)
 		if err != nil {
 			st.noteErr(fmt.Errorf("writer %d op %d open snapshot %d: %w", w, i, id, err))
@@ -616,7 +621,6 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 		}
 		sh.Close(ctx)
 		st.completeSnap(sr, img)
-		st.sched.End(sp, ops())
 
 	case opRead:
 		reg := o.regions[0]
@@ -668,15 +672,14 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 		}
 		sp := st.sched.Begin(w, i, o.kind.String(), ops())
 		err := r.mgsp.DropSnapshot(ctx, fileName, sr.id)
-		switch {
-		case err == nil:
-			st.finishDrop(sr, true)
-		case err == core.ErrSnapshotBusy:
-			st.finishDrop(sr, false) // concurrent capture holds it; retryable
-		default:
+		if err != nil && err != core.ErrSnapshotBusy {
 			st.noteErr(fmt.Errorf("writer %d op %d drop snapshot %d: %w", w, i, sr.id, err))
 			return
 		}
-		st.sched.End(sp, ops())
+		if !st.sched.End(sp, ops()) {
+			return // returned past the cut: the drop stays in flight
+		}
+		// ErrSnapshotBusy: a concurrent capture holds it; retryable.
+		st.finishDrop(sr, err == nil)
 	}
 }

@@ -50,15 +50,13 @@ func DefaultCosts() Costs { return sim.DefaultCosts() }
 func ZeroCosts() Costs { return sim.ZeroCosts() }
 
 // Device is a simulated byte-addressable NVM device with crash injection
-// and media-level accounting.
+// and media-level accounting. An armed crash cuts power: the durable image
+// freezes, ops keep running on the volatile overlay, and Crashed reports the
+// cut so drivers can stop before their next op.
 type Device = nvm.Device
 
 // NewDevice creates a device of the given size.
 func NewDevice(size int64, costs Costs) *Device { return nvm.New(size, costs) }
-
-// Shield runs body and reports whether an injected crash (Device.ArmCrash)
-// cut it short; any other panic propagates.
-func Shield(body func()) (crashed bool) { return nvm.Shield(body) }
 
 // Options configures MGSP (granularity ladder, locking strategy, and the
 // paper's optional optimizations); see DefaultOptions.
