@@ -138,12 +138,15 @@ torture:
 # Native fuzzing of the metadata log: corrupted op entries and per-worker
 # area cursors must be rejected by checksum, never replayed, never panic,
 # and any op-slot list must survive encode -> decode across chain splits.
+# Then the mgspd wire protocol: arbitrary request frames after a valid HELLO
+# must never panic the server, every reply must parse, and Close must return.
 # Go runs one fuzz target per invocation, so the budget is spent once per
 # target. Short budget by default; raise with e.g. `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeCursor$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzOpEntryRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='FuzzServeConn$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 # Coverage over the crash-consistency core. Keep internal/core above ~80%:
 # uncovered lines there are usually recovery/commit paths that only a new

@@ -10,7 +10,7 @@
 //	                                   (scripts using :0 read them back)
 //	mgspd -shards 4 -dev-size 268435456
 //	                                   4 shards of 256 MiB each
-//	mgspd -cleaner-interval 1000000 -delay-log-blocks 2048 -shed-log-blocks 4096
+//	mgspd -cleaner-interval 1000000 -shed-log-blocks 4096
 //	                                   enable the cleaner and backpressure
 //	mgspd -img-dir /tmp/imgs           save shard images there on shutdown
 //	                                   (mgspfsck -load reads them)
@@ -47,10 +47,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max writes per group commit (0 = 64 default)")
 	cleanerInterval := flag.Int64("cleaner-interval", 0, "cleaner pass interval in virtual ns (0 = off)")
 	cleanerBudget := flag.Int64("cleaner-budget", 0, "blocks reclaimed per cleaner pass (0 = unbounded)")
-	delayLog := flag.Int64("delay-log-blocks", 0, "delay writes when shard log blocks reach this (0 = off)")
 	shedLog := flag.Int64("shed-log-blocks", 0, "shed writes when shard log blocks reach this (0 = off)")
-	delayLag := flag.Int64("delay-lag-blocks", 0, "delay writes when cleaner lag reaches this (0 = off)")
-	shedLag := flag.Int64("shed-lag-blocks", 0, "shed writes when cleaner lag reaches this (0 = off)")
 	quotaBytes := flag.Int64("quota-bytes", 0, "per-tenant byte quota (0 = unlimited)")
 	quotaFiles := flag.Int64("quota-files", 0, "per-tenant open-file quota (0 = unlimited)")
 	quotaInflight := flag.Int64("quota-inflight", 0, "per-tenant in-flight op quota (0 = unlimited)")
@@ -66,16 +63,13 @@ func main() {
 	opts.CleanerBudget = *cleanerBudget
 
 	srv, err := server.New(server.Config{
-		Shards:         *shards,
-		DevSize:        *devSize,
-		FSOpts:         opts,
-		Seed:           *seed,
-		BatchWait:      *batchWait,
-		MaxBatchOps:    *maxBatch,
-		DelayLogBlocks: *delayLog,
-		ShedLogBlocks:  *shedLog,
-		DelayLagBlocks: *delayLag,
-		ShedLagBlocks:  *shedLag,
+		Shards:        *shards,
+		DevSize:       *devSize,
+		FSOpts:        opts,
+		Seed:          *seed,
+		BatchWait:     *batchWait,
+		MaxBatchOps:   *maxBatch,
+		ShedLogBlocks: *shedLog,
 		DefaultQuota: server.Quota{
 			MaxBytes:    *quotaBytes,
 			MaxFiles:    *quotaFiles,

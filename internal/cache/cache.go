@@ -1,6 +1,7 @@
 // Package cache is MGSP's volatile DRAM frame tier: a fixed-capacity,
-// set-associative, write-through pool of block-sized frames keyed by (file
-// slot, block) sitting between the vfs API and the shadow tree. Reads are
+// set-associative, write-through pool of block-sized frames keyed by (slot,
+// block) sitting between the vfs API and the shadow tree; core's slot names
+// one incarnation of a file's content, never reused. Reads are
 // optimistic and latch-free — a reader copies from a frame and validates a
 // per-frame version counter (Lersch et al.'s optimistic-consistency
 // protocol), never taking a latch — while installs, patches, and clock
@@ -9,9 +10,8 @@
 //
 // Crash consistency never depends on this package: a frame only ever mirrors
 // content the shadow log has already committed, so every frame is a
-// redundant copy — evicting, invalidating, or losing one costs a media read,
-// never data — and a remount always starts from an empty pool. See
-// DESIGN.md §13.
+// redundant copy — evicting or losing one costs a media read, never data —
+// and a remount always starts from an empty pool. See DESIGN.md §13.
 //
 // Concurrency protocol (the part -race cares about): every frame field that
 // the latch-free reader touches is atomic, and frame content lives behind an
@@ -249,23 +249,16 @@ func (p *Pool) Patch(slot int, block int64, off int, data []byte, _ bool) bool {
 	return true
 }
 
-// InvalidateSlot drops every frame belonging to the file slot — remove,
-// truncate, and create-over-existing, where the cached content no longer
-// describes the file.
-func (p *Pool) InvalidateSlot(slot int) {
+// Range calls fn with the key, block and content of every resident frame,
+// one set at a time under its mutex. fn must not call back into the pool.
+func (p *Pool) Range(fn func(slot int, block int64, data []byte)) {
 	for i := range p.sets {
 		s := &p.sets[i]
 		s.mu.Lock()
 		for w := range s.frames {
-			f := &s.frames[w]
-			if f.slot.Load() != int64(slot) || f.data.Load() == nil {
-				continue
+			if f := &s.frames[w]; f.data.Load() != nil {
+				fn(int(f.slot.Load()), f.block.Load(), *f.data.Load())
 			}
-			publish(f, func() {
-				f.slot.Store(-1)
-				f.data.Store(nil)
-			})
-			f.ref.Store(false)
 		}
 		s.mu.Unlock()
 	}

@@ -138,21 +138,6 @@ func TestReadConflictReportsMiss(t *testing.T) {
 	}
 }
 
-func TestInvalidateSlot(t *testing.T) {
-	p := New(64, bs)
-	p.Install(3, 0, filled(0x01), false)
-	p.Install(3, 1, filled(0x02), false)
-	p.Install(4, 0, filled(0x03), false)
-	p.InvalidateSlot(3)
-	dst := make([]byte, bs)
-	if p.Read(3, 0, dst, 0) || p.Read(3, 1, dst, 0) {
-		t.Fatal("invalidated slot must miss")
-	}
-	if !p.Read(4, 0, dst, 0) {
-		t.Fatal("other slots must survive invalidation")
-	}
-}
-
 // TestOptimisticReadHammer races latch-free readers against patchers: under
 // -race this validates the seqlock protocol (atomics + immutable buffers),
 // and the uniformity check validates that no reader ever observes a torn

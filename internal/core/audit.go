@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 
 	"mgsp/internal/sim"
@@ -84,4 +86,28 @@ func auditWalk(n *node, addRun func(off, blocks int64)) {
 			auditWalk(c, addRun)
 		}
 	}
+}
+
+// AuditFrames cross-checks the frame tier against the tree: every resident
+// frame keyed by a file's current incarnation must hold what a read of its
+// block resolves. It returns the first mismatch. Quiescent file systems
+// only; it takes no node locks.
+func (fs *FS) AuditFrames() (err error) {
+	if fs.pcache == nil {
+		return nil
+	}
+	live := make(map[int]*file, len(fs.files))
+	for _, f := range fs.files {
+		live[int(f.key.Load())] = f
+	}
+	want := make([]byte, LeafSpan)
+	fs.pcache.Range(func(key int, block int64, data []byte) {
+		if f := live[key]; f != nil && err == nil {
+			f.resolveData(sim.NewCtx(0, 0), block*LeafSpan, (block+1)*LeafSpan, want)
+			if !bytes.Equal(data, want) {
+				err = fmt.Errorf("core: frame of %s block %d differs from the tree", f.name, block)
+			}
+		}
+	})
+	return err
 }

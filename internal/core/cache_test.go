@@ -6,6 +6,7 @@ import (
 
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
+	"mgsp/internal/vfs"
 )
 
 func cacheOpts(frames int) Options {
@@ -101,9 +102,9 @@ func TestCacheReadStepUp(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation: remove, create-over, and truncate must drop stale
-// frames — especially across pm-slot reuse (Remove frees the slot even with
-// the cache holding frames keyed by it).
+// TestCacheInvalidation: after remove, create-over, and truncate no read may
+// be served a stale frame — especially across pm-slot reuse (Remove frees
+// the slot even while the cache holds frames of the removed file).
 func TestCacheInvalidation(t *testing.T) {
 	fs, ctx := newTestFS(cacheOpts(64))
 	h, err := fs.Create(ctx, "a")
@@ -189,5 +190,56 @@ func TestCacheObsMetrics(t *testing.T) {
 		if _, ok := snap.Values[name]; !ok {
 			t.Errorf("metric %q missing from obs snapshot", name)
 		}
+	}
+}
+
+// TestCacheRemovedFileFramesStayDead: a removed file's open handle still
+// reads and writes, and Remove frees the pm slot at once. Frames that handle
+// fills (read) or installs (write) after the Remove must not answer for the
+// next file that reuses the slot: its unwritten block 0 reads as zeros.
+func TestCacheRemovedFileFramesStayDead(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		touch func(ctx *sim.Ctx, h vfs.File) error
+	}{
+		{"read", func(ctx *sim.Ctx, h vfs.File) error {
+			_, err := h.ReadAt(ctx, make([]byte, 512), 0)
+			return err
+		}},
+		{"write", func(ctx *sim.Ctx, h vfs.File) error {
+			_, err := h.WriteAt(ctx, page('W'), 0)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, ctx := newTestFS(cacheOpts(64))
+			a, err := fs.Create(ctx, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.WriteAt(ctx, page('A'), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove(ctx, "a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.touch(ctx, a); err != nil {
+				t.Fatal(err)
+			}
+			b, err := fs.Create(ctx, "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.WriteAt(ctx, page('B'), LeafSpan); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, 512)
+			if _, err := b.ReadAt(ctx, got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, make([]byte, 512)) {
+				t.Fatalf("new file's unwritten block 0 reads %q..., want zeros", got[:8])
+			}
+		})
 	}
 }

@@ -60,7 +60,9 @@ type FS struct {
 	// pcache is the volatile write-through DRAM frame tier (nil when
 	// CacheFrames is 0). It holds no persistent state: Mount always starts it
 	// empty, so recovery is cache-independent by construction (DESIGN.md §13).
-	pcache *cache.Pool
+	// Frames are keyed by file incarnation (file.key), drawn from frameKeys.
+	pcache    *cache.Pool
+	frameKeys atomic.Int64
 
 	// snapSeq is the global snapshot sequence: every snapshot takes a fresh
 	// id from it, and every node record stores the value current at its
@@ -75,8 +77,8 @@ type FS struct {
 	files map[string]*file
 
 	// optGate arms the optimistic lock-free read path (optread.go): set once
-	// at mkFS when the configuration supports it, so disabled configurations
-	// pay nothing (writerEnter/writerExit return immediately).
+	// at mkFS under MGL, whose locks carry the node versions, so LockFile
+	// pays nothing (writerEnter/writerExit return immediately).
 	optGate bool
 
 	stats Stats
@@ -155,9 +157,7 @@ func mkFS(prov *pmfile.Provider, opts Options) *FS {
 		files:   make(map[string]*file),
 	}
 	fs.dir.hwCell = ckptOff + ckptDirHW
-	// The optimistic read path needs MGL (per-node versions live in the MGL
-	// locks) and no DRAM cache tier (frame installs happen under R locks).
-	fs.optGate = opts.Locking == LockMGL && opts.CacheFrames == 0
+	fs.optGate = opts.Locking == LockMGL
 	fs.initObs()
 	if opts.CleanerInterval > 0 {
 		fs.dir.tracking = true
@@ -254,6 +254,13 @@ type file struct {
 	refs    atomic.Int32
 	removed bool
 
+	// key names this incarnation of the file's content in the frame tier.
+	// Create-over and Truncate renew it inside their writer sections, and a
+	// file that reuses a removed file's pm slot starts with a fresh one, so
+	// frames filled or patched under an old key never answer a read again;
+	// they age out through the clock.
+	key atomic.Int64
+
 	// Greedy-locking safety: greedy ops skip ancestor intentions, which is
 	// only sound while exactly one worker uses the file. The first op seen
 	// from a second worker permanently demotes the file to full MGL, after
@@ -308,8 +315,13 @@ func (fs *FS) newFile(pf *pmfile.File, name string) *file {
 	for i := range f.intents {
 		f.intents[i].m = make(map[int]map[*node]*workerIntent)
 	}
+	f.renewKey()
 	return f
 }
+
+// renewKey gives the file a frame key no incarnation has used before; keys
+// count from 0.
+func (f *file) renewKey() { f.key.Store(f.fs.frameKeys.Add(1) - 1) }
 
 // Create implements vfs.FS.
 func (fs *FS) Create(ctx *sim.Ctx, name string) (vfs.File, error) {
@@ -327,11 +339,6 @@ func (fs *FS) Create(ctx *sim.Ctx, name string) (vfs.File, error) {
 			defer f.sizeMu.Unlock(ctx)
 		}
 		f.discardTree(ctx)
-		if fs.pcache != nil {
-			// The file keeps its pm slot but loses all content; cached frames
-			// no longer describe it.
-			fs.pcache.InvalidateSlot(f.pf.Slot())
-		}
 		if _, err := fs.prov.Create(ctx, name); err != nil {
 			return nil, err
 		}
@@ -378,12 +385,6 @@ func (fs *FS) Remove(ctx *sim.Ctx, name string) error {
 	if f.refs.Load() == 0 {
 		f.discardTree(ctx)
 	}
-	if fs.pcache != nil {
-		// prov.Remove frees the pm slot immediately (even with open handles),
-		// and Create reuses the lowest free slot — stale frames keyed by this
-		// slot would leak into the next file.
-		fs.pcache.InvalidateSlot(f.pf.Slot())
-	}
 	return fs.prov.Remove(ctx, name)
 }
 
@@ -400,6 +401,7 @@ func (f *file) discardTree(ctx *sim.Ctx) {
 	f.root.Store(nil)
 	f.minSearch.Store(nil)
 	f.releaseAllIntents(ctx)
+	f.renewKey()
 }
 
 // releaseSubtree retires every record at and below n and frees each log as
@@ -573,12 +575,8 @@ func (h *handle) Truncate(ctx *sim.Ctx, size int64) error {
 	}
 	f.size.Store(size)
 	f.pf.SetSize(ctx, size)
-	if f.fs.pcache != nil {
-		// Frames covering vacated blocks are stale (a later regrowth must
-		// read zeros); dropping the whole slot is the simple safe choice for
-		// this rare control-plane op.
-		f.fs.pcache.InvalidateSlot(f.pf.Slot())
-	}
+	// Frames of vacated blocks are stale: a later regrowth must read zeros.
+	f.renewKey()
 	return nil
 }
 

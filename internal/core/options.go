@@ -60,7 +60,7 @@ type Options struct {
 	// baseline of Figure 13.
 	MultiGranularity bool
 	// Locking selects file-level or multiple-granularity locking. Under
-	// LockMGL with CacheFrames zero, reads first try the lock-free
+	// LockMGL, reads that miss the frame tier first try the lock-free
 	// version-validated path of optread.go and fall back to R locks.
 	Locking LockMode
 	// GreedyLocking enables the single-lock fast path when the file has one
@@ -87,11 +87,12 @@ type Options struct {
 	CleanerBudget int64
 	// CacheFrames enables the DRAM page-cache tier (internal/cache, DESIGN.md
 	// §13) with at least that many 4 KiB frames (rounded up to the pool's set
-	// geometry). The cache is write-through: reads hit frames via the
-	// optimistic latch-free protocol instead of the media, and every write
-	// commits through the shadow log before it patches frames. Zero
-	// disables the cache — every ablation and recovery path is bit-identical
-	// to the uncached system. Negative values are invalid.
+	// geometry). The cache is write-through: single-block reads hit frames
+	// via the optimistic latch-free protocol instead of the media, a miss
+	// fills its frame while the read is pinned, and every write commits
+	// through the shadow log before it patches frames. Zero disables the
+	// cache — every ablation and recovery path is bit-identical to the
+	// uncached system. Negative values are invalid.
 	CacheFrames int
 }
 

@@ -1,35 +1,26 @@
 package core
 
-// Optimistic lock-free reads. Under MGL every read pays lock acquisitions
-// proportional to its cover — pure overhead when nothing is writing the
-// file, which is the common case for read-mostly shards at high worker
-// counts. The optimistic path serves a read with zero MGL traffic:
+// Optimistic lock-free reads (DESIGN.md §13.2). Under MGL a read that
+// misses the frame tier first runs with zero MGL traffic: it registers in the
+// file's Dekker-style gate (optRd) and bails if a writer section is open
+// (optWS != optWF); walks the live tree or a snapshot's view recording each
+// node's version (mglLock.ver, odd while a W holder is active) and bailing
+// on odd; then validates every version and that no writer entered (optWS
+// unmoved), else falls back to the locked walk. A cache miss installs its
+// block before deregistering. Snapshot reads qualify because DropSnapshot
+// refuses while a snapshot has open handles, so its pins outlive readers.
 //
-//  1. the reader registers in the file's Dekker-style gate (optRd) and
-//     bails if any writer section is open (optWS != optWF);
-//  2. it walks the tree lock-free, recording each visited node's version
-//     (mglLock.ver, odd while a W holder is active) and bailing on odd;
-//  3. it copies the data exactly like the locked resolve path;
-//  4. it validates that every recorded version is unchanged and that no
-//     writer entered the file (optWS unmoved), else falls back.
-//
-// Writers are drained the other way around: every mutating section calls
-// writerEnter, which publishes the section (optWS) and then spins until no
-// reader is registered. Registered readers never block — the walk takes no
-// locks — so the spin is bounded by one in-flight copy. Readers that
-// register after the publish observe optWS != optWF and bail immediately,
-// so writers cannot starve. The per-node versions are a second, independent
-// guard: even a mutation path that missed a gate call is caught as long as
-// it holds W locks, which all foreground mutators do.
-//
-// The gate counters are volatile DRAM state (like the greedy-locking
-// bookkeeping) and unmetered in virtual time; the walk itself charges the
-// same IndexStep and media costs as the locked path.
+// Every mutating section calls writerEnter, which publishes the section and
+// spins until no reader is registered. Readers never block, so the spin is
+// bounded by one in-flight copy, and readers that register after the publish
+// bail at once, so writers cannot starve. The versions are a second guard:
+// a mutation path that missed the gate is still caught if it holds W locks.
+// The gate counters are volatile and unmetered in virtual time; the walk
+// charges the same IndexStep and media costs as the locked path.
 
 import (
 	"runtime"
 
-	"mgsp/internal/obs"
 	"mgsp/internal/sim"
 )
 
@@ -60,44 +51,45 @@ type nodeVer struct {
 	v uint64
 }
 
-// readOptimistic attempts the lock-free read of [off, off+len(p)). It
-// reports false when the attempt was abandoned — the caller must then run
-// the ordinary locked path, which fully overwrites p.
-func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, began int64) bool {
-	root := f.root.Load()
-	if root == nil {
-		return false
-	}
+// readOptimistic attempts the lock-free read of p at off, of snapshot s or
+// (s == nil) of the live file. It reports false when the attempt was
+// abandoned; the caller then runs the locked path, which fully overwrites p.
+// A fill installs its frame after the final validation but before the
+// deferred deregistration: a writer that opened its section after this
+// reader registered is still draining in writerEnter, so it patches the
+// frame only after the install.
+func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, s *snapshot, fill bool) bool {
 	fs := f.fs
 	f.optRd.Add(1)
 	defer f.optRd.Add(-1)
 	ws := f.optWS.Load()
-	if ws != f.optWF.Load() {
-		fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
-		return false
-	}
-	end := off + int64(len(p))
+	ok := ws == f.optWF.Load()
+	var frame []byte
 	vers := make([]nodeVer, 0, 8)
-	if !f.readView(ctx, root, view{vers: &vers}, off, p, f.size.Load()) {
-		fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
-		return false
+	key, root := int(f.key.Load()), f.root.Load()
+	if ok {
+		v, eof := f.viewOf(s, &vers)
+		frame, ok = f.resolveRead(ctx, root, v, eof, p, off, fill)
 	}
 	// Validate after the copy: every visited node's version unchanged (and
 	// even), and no writer section opened since registration.
 	for _, nv := range vers {
-		if nv.n.lock.ver.Load() != nv.v {
-			fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
-			return false
-		}
+		ok = ok && nv.n.lock.ver.Load() == nv.v
 	}
-	if f.optWS.Load() != ws {
-		fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
+	if !ok || f.optWS.Load() != ws {
+		if s == nil {
+			fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
+		}
 		return false
 	}
-	fs.stats.OptReads.Add(ctx.ID, 1)
-	f.updateMinSearch(off, end)
-	dur := ctx.Now() - began
-	fs.hRead.Observe(dur)
-	fs.trace.Record(ctx.ID, obs.OpRead, f.pf.Slot(), off, int64(len(p)), dur)
+	if frame != nil {
+		fs.pcache.Install(key, off/LeafSpan, frame, false)
+	}
+	if s == nil {
+		fs.stats.OptReads.Add(ctx.ID, 1)
+		if root != nil {
+			f.updateMinSearch(off, off+int64(len(p)))
+		}
+	}
 	return true
 }

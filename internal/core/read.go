@@ -7,86 +7,106 @@ import (
 	"mgsp/internal/sim"
 )
 
-// ReadAt implements vfs.File: lock the range (greedy or MGL with IR/R),
-// then assemble the latest data per the valid/existing bitmaps (§III-D).
+// ReadAt implements vfs.File (§III-D, DESIGN.md §13.2).
 func (h *handle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if err := h.guard(); err != nil {
 		return 0, err
 	}
+	return h.f.read(ctx, p, off, nil)
+}
+
+// read serves [off, off+len(p)) of the live file (s == nil) or of snapshot
+// s's frozen image, short at the end of file. Every read runs it: a live
+// read inside one block probes its frame first; a miss, or any other read,
+// takes the optimistic walk under MGL (optread.go) and the locked walk when
+// that is off or fails. A live single-block miss fills its frame while the
+// read is pinned, so a writer that commits to the block later patches it.
+func (f *file) read(ctx *sim.Ctx, p []byte, off int64, s *snapshot) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("core: negative offset %d", off)
 	}
-	f := h.f
 	fs := f.fs
-	fs.stats.Reads.Add(ctx.ID, 1)
+	live := s == nil
+	if live {
+		fs.stats.Reads.Add(ctx.ID, 1)
+	} else {
+		fs.stats.SnapshotReads.Add(1)
+	}
 	began := ctx.Now()
-	size := f.size.Load()
+	_, size := f.viewOf(s, nil)
 	if off >= size || len(p) == 0 {
 		return 0, nil
 	}
-	n := len(p)
-	if int64(n) > size-off {
-		n = int(size - off)
+	p = p[:min(int64(len(p)), size-off)]
+	n, block := len(p), off/LeafSpan
+	fill := live && fs.pcache != nil && off+int64(n) <= (block+1)*LeafSpan
+	if live {
+		fs.stats.UserReadBytes.Add(ctx.ID, int64(n))
 	}
-	fs.stats.UserReadBytes.Add(ctx.ID, int64(n))
-	end := off + int64(n)
-
-	// Optimistic lock-free path (DESIGN.md §14): register in the Dekker gate,
-	// walk without locks, validate node versions after the copy. Any failure
-	// falls through to the locked path below. Gated to MGL without a cache
-	// tier, so the cache block never races this.
-	if fs.optGate && f.readOptimistic(ctx, p[:n], off, began) {
-		return n, nil
-	}
-
-	// Cache tier (DESIGN.md §13). Single-block reads try the optimistic
-	// latch-free frame probe first: hit means one DRAM copy instead of a tree
-	// walk plus media reads. Frames only mirror committed content, so a miss
-	// (absent or contended frame) falls through to the tree walk below.
-	block := off / LeafSpan
-	single := fs.pcache != nil && end <= (block+1)*LeafSpan
-	if single && fs.pcache.Read(f.pf.Slot(), block, p[:n], int(off-block*LeafSpan)) {
+	switch {
+	case fill && fs.pcache.Read(int(f.key.Load()), block, p, int(off-block*LeafSpan)):
 		ctx.Advance(fs.costs.IndexStep + fs.costs.DRAMCopyCost(n))
-		dur := ctx.Now() - began
-		fs.hRead.Observe(dur)
-		fs.trace.Record(ctx.ID, obs.OpRead, f.pf.Slot(), off, int64(n), dur)
-		return n, nil
+	case fs.optGate && f.readOptimistic(ctx, p, off, s, fill):
+	default:
+		f.readLocked(ctx, p, off, s, fill)
 	}
-
-	root := f.root.Load()
-	if root == nil {
-		// Nothing was ever written through MGSP in this incarnation; the
-		// file itself is the only source. No frame install here: this path
-		// holds no locks, so a fill could clobber a racing writer's newer
-		// frame content.
-		f.pf.DirectRead(ctx, p[:n], off)
-		dur := ctx.Now() - began
-		fs.hRead.Observe(dur)
-		fs.trace.Record(ctx.ID, obs.OpRead, f.pf.Slot(), off, int64(n), dur)
-		return n, nil
-	}
-
-	start := f.searchStart(ctx, off, end)
-	segs := f.readCover(ctx, start, off, end, nil)
-	locks := f.lockOp(ctx, start, segs, false)
-	if single {
-		// Miss fill: resolve the whole block while the R locks pin its
-		// content (writers patch frames under W), install it, and serve the
-		// request from the copy.
-		blockLo := block * LeafSpan
-		buf := make([]byte, LeafSpan)
-		f.resolveData(ctx, blockLo, blockLo+LeafSpan, buf)
-		copy(p[:n], buf[off-blockLo:])
-		fs.pcache.Install(f.pf.Slot(), block, buf, false)
-	} else {
-		f.resolveData(ctx, off, end, p[:n])
-	}
-	f.release(ctx, locks)
-	f.updateMinSearch(off, end)
 	dur := ctx.Now() - began
-	fs.hRead.Observe(dur)
-	fs.trace.Record(ctx.ID, obs.OpRead, f.pf.Slot(), off, int64(n), dur)
+	kind := obs.OpSnapRead
+	if live {
+		kind = obs.OpRead
+		fs.hRead.Observe(dur)
+	}
+	fs.trace.Record(ctx.ID, kind, f.pf.Slot(), off, int64(n), dur)
 	return n, nil
+}
+
+// viewOf returns the view a read of snapshot s (nil = the live tree) walks,
+// recording node versions into vers if non-nil, and the end of file it sees.
+func (f *file) viewOf(s *snapshot, vers *[]nodeVer) (view, int64) {
+	if s == nil {
+		return view{vers: vers}, f.size.Load()
+	}
+	return view{sid: s.id, vers: vers}, s.size
+}
+
+// resolveRead fills p with [off, off+len(p)) as v sees it from root. With
+// fill set it resolves p's whole block, serves p from it and returns the
+// block for the caller to install while still pinned. A nil root never
+// fills: create-over resets the file outside any writer section. ok=false:
+// the view abandoned the walk.
+func (f *file) resolveRead(ctx *sim.Ctx, root *node, v view, eof int64, p []byte, off int64, fill bool) (frame []byte, ok bool) {
+	if !fill || root == nil {
+		return nil, f.readView(ctx, root, v, off, p, eof)
+	}
+	lo := off / LeafSpan * LeafSpan
+	frame = make([]byte, LeafSpan)
+	if !f.readView(ctx, root, v, lo, frame, eof) {
+		return nil, false
+	}
+	copy(p, frame[off-lo:])
+	return frame, true
+}
+
+// readLocked serves p at off under R locks on the read's cover, or under the
+// file lock in LockFile mode. A nil root reads the file with nothing to lock.
+func (f *file) readLocked(ctx *sim.Ctx, p []byte, off int64, s *snapshot, fill bool) {
+	key, root, end := int(f.key.Load()), f.root.Load(), off+int64(len(p))
+	var locks *opLocks
+	if root != nil {
+		start := f.searchStart(ctx, off, end)
+		locks = f.lockOp(ctx, start, f.readCover(ctx, start, off, end, nil), false)
+		root = f.root.Load() // the tree may have grown while this read locked
+	}
+	v, eof := f.viewOf(s, nil)
+	if frame, _ := f.resolveRead(ctx, root, v, eof, p, off, fill); frame != nil {
+		f.fs.pcache.Install(key, off/LeafSpan, frame, false)
+	}
+	if locks != nil {
+		f.release(ctx, locks)
+		if s == nil {
+			f.updateMinSearch(off, end)
+		}
+	}
 }
 
 // readCover decomposes [lo,hi) into lock targets without creating nodes:

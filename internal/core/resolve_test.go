@@ -43,7 +43,8 @@ func randResolverWrite(rng *rand.Rand) (int64, []byte) {
 
 // TestResolverOracle runs every view and sink of the resolver against a byte
 // shadow on seeded random Degree-4 trees: the locked live read, the
-// optimistic read, a snapshot taken mid-script, the cleaner's merge of cold
+// optimistic read, a snapshot taken mid-script (locked and optimistic
+// views), the cleaner's merge of cold
 // subtrees into a valid ancestor's log and into the file, and the last-Close
 // write-back, checked on the raw file bytes.
 func TestResolverOracle(t *testing.T) {
@@ -97,7 +98,7 @@ func resolverOracle(t *testing.T, seed int64) (merged int) {
 				t.Fatalf("%s: ReadAt [%d,%d): n=%d err=%v, content differs from the shadow", stage, r[0], r[1], n, err)
 			}
 			buf = bytes.Repeat([]byte{0xa5}, n)
-			if !f.readOptimistic(ctx, buf, r[0], ctx.Now()) {
+			if !f.readOptimistic(ctx, buf, r[0], nil, false) {
 				t.Fatalf("%s: optimistic read of [%d,%d) abandoned with no writer open", stage, r[0], r[1])
 			}
 			if !bytes.Equal(buf, shadow[r[0]:r[1]]) {
@@ -126,11 +127,19 @@ func resolverOracle(t *testing.T, seed int64) (merged int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := sh.(*snapHandle).s
 	for _, r := range ranges() {
 		lo, hi := min(r[0], frozenSize), min(r[1], frozenSize)
 		buf := make([]byte, hi-lo)
 		if n, err := sh.ReadAt(ctx, buf, lo); err != nil || int64(n) != hi-lo || !bytes.Equal(buf, frozen[lo:hi]) {
 			t.Fatalf("snapshot read [%d,%d): n=%d err=%v, content differs from the frozen shadow", lo, hi, n, err)
+		}
+		buf = bytes.Repeat([]byte{0xa5}, len(buf))
+		if !f.readOptimistic(ctx, buf, lo, snap, false) {
+			t.Fatalf("optimistic snapshot read of [%d,%d) abandoned with no writer open", lo, hi)
+		}
+		if !bytes.Equal(buf, frozen[lo:hi]) {
+			t.Fatalf("optimistic snapshot read of [%d,%d) differs from the frozen shadow", lo, hi)
 		}
 	}
 	if err := sh.Close(ctx); err != nil {

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"mgsp/internal/obs"
 	"mgsp/internal/sim"
 	"mgsp/internal/vfs"
 )
@@ -50,38 +47,7 @@ func (h *snapHandle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if h.closed {
 		return 0, vfs.ErrClosed
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("core: negative offset %d", off)
-	}
-	f := h.f
-	f.fs.stats.SnapshotReads.Add(1)
-	size := h.s.size
-	if off >= size || len(p) == 0 {
-		return 0, nil
-	}
-	n := len(p)
-	if int64(n) > size-off {
-		n = int(size - off)
-	}
-	end := off + int64(n)
-	root := f.root.Load()
-	began := ctx.Now()
-	// With no live tree the file bytes are the frozen truth (write-back is
-	// deferred while snapshots live). Otherwise take the same MGL read locks
-	// as live reads: snapshot readers run concurrently with each other and
-	// with writers outside the locked ranges.
-	var locks *opLocks
-	if root != nil {
-		start := f.searchStart(ctx, off, end)
-		segs := f.readCover(ctx, start, off, end, nil)
-		locks = f.lockOp(ctx, start, segs, false)
-	}
-	f.readView(ctx, root, view{sid: h.s.id}, off, p[:n], size)
-	if locks != nil {
-		f.release(ctx, locks)
-	}
-	f.fs.trace.Record(ctx.ID, obs.OpSnapRead, f.pf.Slot(), off, int64(n), ctx.Now()-began)
-	return n, nil
+	return h.f.read(ctx, p, off, h.s)
 }
 
 // snapNodeView returns the (word, logOff) snapshot sid sees at node n.

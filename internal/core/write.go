@@ -195,6 +195,31 @@ func (f *file) write(ctx *sim.Ctx, updates []Update, hist *obs.Histogram, kind o
 	return nil
 }
 
+// patchFrames brings cached frames (DESIGN.md §13.3) up to date with a
+// just-committed write of p at off. Callers hold the op's node W locks inside
+// its writer section, so no locked or optimistic reader fills a frame of
+// these blocks concurrently. Present frames are patched; absent frames are
+// installed only for fully covered blocks, warming write-then-read.
+func (f *file) patchFrames(p []byte, off int64) {
+	pc := f.fs.pcache
+	key := int(f.key.Load())
+	end := off + int64(len(p))
+	for block := off / LeafSpan; block*LeafSpan < end; block++ {
+		blockLo := block * LeafSpan
+		lo := max(off, blockLo)
+		hi := min(end, blockLo+LeafSpan)
+		chunk := p[lo-off : hi-off]
+		if pc.Patch(key, block, int(lo-blockLo), chunk, false) {
+			continue
+		}
+		if lo == blockLo && hi == blockLo+LeafSpan {
+			buf := make([]byte, LeafSpan)
+			copy(buf, chunk)
+			pc.Install(key, block, buf, false)
+		}
+	}
+}
+
 // writeExtent validates a write's updates and returns the extent [lo, end)
 // of the non-empty ones and their total size; total 0 means there is
 // nothing to write. Empty updates are skipped before any check.

@@ -22,7 +22,6 @@ type serverObs struct {
 	cWritesAcked  *obs.Counter // client writes acked durable
 	cOps          *obs.Counter // requests served (post-HELLO)
 	cShed         *obs.Counter // writes refused by backpressure
-	cDelayed      *obs.Counter // writes stalled by backpressure
 	cCrashed      *obs.Counter // 0 or 1: the device died
 	gConns        atomic.Int64 // live connections
 }
@@ -36,7 +35,6 @@ func (s *Server) initObs() {
 		cWritesAcked:  r.Counter("server.writes_acked"),
 		cOps:          r.Counter("server.ops"),
 		cShed:         r.Counter("server.shed"),
-		cDelayed:      r.Counter("server.delayed"),
 		cCrashed:      r.Counter("server.crashed"),
 	}
 	r.RegisterFunc("server.conns", func() float64 { return float64(s.obs.gConns.Load()) })

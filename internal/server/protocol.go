@@ -4,9 +4,8 @@
 // that binds the connection to a tenant); writes are coalesced per shard
 // into WriteMulti group commits so concurrent small writes share one
 // metadata-log flush (Snapshot-style msync batching), and admission control
-// sheds or delays new writes when the shadow log's high-water mark or the
-// cleaner's lag gauge says reclamation is falling behind — the log never
-// fills to ENOSPC under overload.
+// sheds new writes when the shard's shadow-log footprint says reclamation is
+// falling behind — the log never fills to ENOSPC under overload.
 //
 // The package splits as:
 //
@@ -18,7 +17,7 @@
 //	obs.go        server registry, merged snapshots, HTTP side handler
 //
 // See DESIGN.md §12 for the framing grammar, the batching state machine,
-// and the backpressure thresholds.
+// and the backpressure threshold.
 package server
 
 import (

@@ -19,7 +19,7 @@ import (
 
 // Config configures a Server. The zero value serves: one shard, a 64 MiB
 // device per shard, default MGSP options, open tenant enrollment with no
-// quotas, and backpressure disabled (thresholds 0).
+// quotas, and backpressure disabled (threshold 0).
 type Config struct {
 	// Shards is the number of independent MGSP file systems (each its own
 	// simulated device and group-commit batcher). Files hash to shards by
@@ -28,8 +28,8 @@ type Config struct {
 	// DevSize is each shard's device size in bytes. Default 64 MiB.
 	DevSize int64
 	// FSOpts are the MGSP options for every shard; the zero value means
-	// core.DefaultOptions(). Set CleanerInterval to give backpressure a
-	// cleaner to watch.
+	// core.DefaultOptions(). Set CleanerInterval so a cleaner reclaims the
+	// log blocks backpressure watches.
 	FSOpts core.Options
 	// Seed derives each shard's and connection's sim context seed.
 	Seed int64
@@ -44,18 +44,10 @@ type Config struct {
 	// the submitting connection (natural backpressure). Default 256.
 	QueueCap int
 
-	// Backpressure thresholds; 0 disables each. Log blocks are the shard's
-	// live shadow-log footprint (FS.LogBlocks); lag blocks are what the
-	// last cleaner pass left unreclaimed (Cleaner.LagBlocks — the same
-	// number mgspstat shows as cleaner.lag_blocks). Crossing a Delay
-	// threshold stalls the write DelaySleep before admitting it; crossing a
-	// Shed threshold refuses it with StatusBusy.
-	DelayLogBlocks int64
-	ShedLogBlocks  int64
-	DelayLagBlocks int64
-	ShedLagBlocks  int64
-	// DelaySleep is the admission stall for delayed writes. Default 1ms.
-	DelaySleep time.Duration
+	// ShedLogBlocks is the backpressure threshold; 0 disables it. A write
+	// arriving while the shard's live shadow-log footprint (FS.LogBlocks,
+	// read at admission) is at or above it is refused with StatusBusy.
+	ShedLogBlocks int64
 
 	// Tenants closes the tenant list to these names and quotas; nil means
 	// any HELLO enrolls its tenant with DefaultQuota.
@@ -104,13 +96,6 @@ func (c *Config) queueCap() int {
 		return 256
 	}
 	return c.QueueCap
-}
-
-func (c *Config) delaySleep() time.Duration {
-	if c.DelaySleep <= 0 {
-		return time.Millisecond
-	}
-	return c.DelaySleep
 }
 
 // Server is a multi-tenant MGSP server. Build with New, feed it listeners
@@ -286,31 +271,13 @@ func (s *Server) Device(i int) *nvm.Device { return s.shards[i].dev }
 func (s *Server) FSOptions() core.Options { return s.cfg.FSOpts }
 
 // admitWrite is the backpressure gate, consulted before a write enqueues:
-// over a Shed threshold the write is refused (the client sees ErrBusy and
-// owns the retry); over a Delay threshold it stalls DelaySleep first, which
-// both paces intake and donates this goroutine's wall-clock to let the
-// batcher's cooperative cleaner passes catch up. Thresholds at 0 are off.
+// at or over ShedLogBlocks the write is refused, and the client sees ErrBusy
+// and owns the retry.
 func (s *Server) admitWrite(sh *shard, t *tenant) error {
-	c := &s.cfg
-	var logBlocks, lag int64
-	if c.ShedLogBlocks > 0 || c.DelayLogBlocks > 0 {
-		logBlocks = sh.fs.LogBlocks()
-	}
-	if c.ShedLagBlocks > 0 || c.DelayLagBlocks > 0 {
-		if cl := sh.fs.Cleaner(); cl != nil {
-			lag = cl.LagBlocks()
-		}
-	}
-	if (c.ShedLogBlocks > 0 && logBlocks >= c.ShedLogBlocks) ||
-		(c.ShedLagBlocks > 0 && lag >= c.ShedLagBlocks) {
+	if c := s.cfg.ShedLogBlocks; c > 0 && sh.fs.LogBlocks() >= c {
 		s.obs.cShed.Add(1)
 		t.shed.Add(1)
 		return ErrBusy
-	}
-	if (c.DelayLogBlocks > 0 && logBlocks >= c.DelayLogBlocks) ||
-		(c.DelayLagBlocks > 0 && lag >= c.DelayLagBlocks) {
-		s.obs.cDelayed.Add(1)
-		time.Sleep(c.delaySleep())
 	}
 	return nil
 }
@@ -350,7 +317,7 @@ func (c *conn) loop() {
 			continue
 		}
 		// Each request gets its own goroutine so one blocked write (group
-		// commit in flight, or backpressure stall) does not head-of-line
+		// commit in flight, or a full shard queue) does not head-of-line
 		// block the connection's reads.
 		c.handlers.Add(1)
 		go func() {
@@ -362,7 +329,6 @@ func (c *conn) loop() {
 
 func (c *conn) teardown() {
 	c.handlers.Wait()
-	ctx := c.srv.newCtx()
 	c.hmu.Lock()
 	files := make([]*srvFile, 0, len(c.handles))
 	for _, sf := range c.handles {
@@ -371,7 +337,7 @@ func (c *conn) teardown() {
 	c.handles = make(map[uint32]*srvFile)
 	c.hmu.Unlock()
 	for _, sf := range files {
-		sf.release(ctx)
+		sf.release()
 		c.ten.releaseFile()
 	}
 }
@@ -413,10 +379,20 @@ func (c *conn) hello(id uint32, body []byte) {
 	c.reply(OpHello, id, StatusOK, nil)
 }
 
+// lookup returns the file behind handle h pinned with a reference of its
+// own, or nil. The caller releases it when its request is done, so a CLOSE
+// racing the request cannot close the file, and run its write-back, under
+// the request's I/O.
 func (c *conn) lookup(h uint32) *srvFile {
 	c.hmu.Lock()
 	defer c.hmu.Unlock()
-	return c.handles[h]
+	sf := c.handles[h]
+	if sf != nil {
+		sf.sh.mu.Lock()
+		sf.refs++
+		sf.sh.mu.Unlock()
+	}
+	return sf
 }
 
 func (c *conn) handle(op byte, id uint32, body []byte) {
@@ -493,6 +469,7 @@ func (c *conn) handleRead(id uint32, body []byte) {
 		return
 	}
 	sf := c.lookup(binary.LittleEndian.Uint32(body[0:4]))
+	defer sf.release()
 	off := int64(binary.LittleEndian.Uint64(body[4:12]))
 	n := binary.LittleEndian.Uint32(body[12:16])
 	if sf == nil || off < 0 || n > MaxData {
@@ -524,6 +501,7 @@ func (c *conn) handleWrite(id uint32, body []byte) {
 		return
 	}
 	sf := c.lookup(binary.LittleEndian.Uint32(body[0:4]))
+	defer sf.release()
 	off := int64(binary.LittleEndian.Uint64(body[4:12]))
 	data := body[12:]
 	// A range no file can hold is refused here, before the enqueue: core
@@ -564,6 +542,7 @@ func (c *conn) handleFsync(id uint32, body []byte) {
 	if sf == nil {
 		return
 	}
+	defer sf.release()
 	err := sf.vf.Fsync(c.srv.newCtx())
 	if sf.sh.dev.Crashed() {
 		c.srv.noteCrash()
@@ -582,6 +561,7 @@ func (c *conn) handleSnapshot(id uint32, body []byte) {
 	if sf == nil {
 		return
 	}
+	defer sf.release()
 	if c.srv.dead() {
 		c.replyErr(OpSnapshot, id, c.srv.deadErr())
 		return
@@ -606,6 +586,7 @@ func (c *conn) handleDrop(id uint32, body []byte) {
 		return
 	}
 	sf := c.lookup(binary.LittleEndian.Uint32(body[0:4]))
+	defer sf.release()
 	if sf == nil {
 		c.reply(OpDrop, id, StatusBadRequest, nil)
 		return
@@ -651,12 +632,13 @@ func (c *conn) handleClose(id uint32, body []byte) {
 		c.reply(OpClose, id, StatusBadRequest, nil)
 		return
 	}
-	sf.release(c.srv.newCtx())
+	sf.release()
 	c.ten.releaseFile()
 	c.reply(OpClose, id, StatusOK, nil)
 }
 
-// handleArg parses the common u32-handle-only request body.
+// handleArg parses the common u32-handle-only request body and looks the
+// handle up, pinned like lookup's.
 func (c *conn) handleArg(op byte, id uint32, body []byte) *srvFile {
 	if len(body) != 4 {
 		c.reply(op, id, StatusBadRequest, nil)

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -508,5 +509,46 @@ func TestPostCutCommitNotAcked(t *testing.T) {
 	}
 	if !bytes.Equal(got, before) {
 		t.Fatalf("recovered bytes %#x..., want the pre-cut write %#x...", got[:8], before[:8])
+	}
+}
+
+// TestCloseBehindWriteWaitsForIt: requests on one connection run
+// concurrently, so a CLOSE pipelined behind a WRITE on the same handle may
+// run first, and the write then finds no handle (StatusBadRequest). What it
+// must never do is close the file under a write that already looked the
+// handle up: each request pins its file, so such a write commits and is
+// acked, and the last release runs the write-back afterwards.
+func TestCloseBehindWriteWaitsForIt(t *testing.T) {
+	srv := newServer(t, server.Config{DevSize: 4 << 20, BatchWait: -1})
+	cc, sc := net.Pipe()
+	go srv.ServeConn(sc)
+	defer cc.Close()
+	roundTrip := func(reqs ...[]byte) map[uint32][]byte {
+		t.Helper()
+		for _, r := range reqs {
+			if err := server.WriteFrame(cc, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make(map[uint32][]byte)
+		for range reqs {
+			p, err := server.ReadFrame(cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, id, status, body, err := server.ParseResponseHeader(p)
+			lost := op == server.OpWrite && status == server.StatusBadRequest
+			if err != nil || status != server.StatusOK && !lost {
+				t.Fatalf("reply to op %d (id %d): status %d %q, err %v", op, id, status, body, err)
+			}
+			got[id] = body
+		}
+		return got
+	}
+	roundTrip(request(server.OpHello, 0, uint8(1), "t"))
+	for i := uint64(0); i < 100; i++ {
+		open := roundTrip(request(server.OpOpen, 1, uint8(server.OpenCreate), uint8(1), "f"))
+		h := binary.LittleEndian.Uint32(open[1])
+		roundTrip(request(server.OpWrite, 2, h, i*4096, "payload"), request(server.OpClose, 3, h))
 	}
 }

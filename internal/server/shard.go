@@ -33,7 +33,7 @@ type srvFile struct {
 	key  string // tenant-scoped name; the name inside the FS namespace
 	vf   vfs.File
 	mw   multiWriter // vf downcast once at open
-	refs int         // guarded by sh.mu
+	refs int         // client handles plus requests in flight; guarded by sh.mu
 }
 
 // shard is one MGSP file system plus the single goroutine that group-commits
@@ -98,8 +98,11 @@ func (sh *shard) openFile(ctx *sim.Ctx, key string, create bool) (*srvFile, erro
 }
 
 // release drops one reference; the last one closes the underlying file
-// (triggering MGSP's close-time log write-back).
-func (sf *srvFile) release(ctx *sim.Ctx) {
+// (triggering MGSP's close-time log write-back). A nil sf is a no-op.
+func (sf *srvFile) release() {
+	if sf == nil {
+		return
+	}
 	sh := sf.sh
 	sh.mu.Lock()
 	sf.refs--
@@ -109,7 +112,7 @@ func (sf *srvFile) release(ctx *sim.Ctx) {
 	}
 	sh.mu.Unlock()
 	if last {
-		sf.vf.Close(ctx)
+		sf.vf.Close(sh.srv.newCtx())
 	}
 }
 

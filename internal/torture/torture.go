@@ -445,6 +445,11 @@ func Run(cfg Config) (*Result, error) {
 			res.OpsCompleted++
 		}
 	}
+	// Frames live in DRAM, so the cut leaves them beside the volatile tree:
+	// audit them on the live system, crashed or not, before any recovery.
+	if err := r.mgsp.AuditFrames(); err != nil {
+		res.addViolation("frame", -1, err.Error())
+	}
 
 	if crashed {
 		res.CrashOp, res.CrashWorker = dev.CrashInfo()
