@@ -7,7 +7,7 @@ FUZZTIME ?= 15s
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: ci vet vet-report mgspvet lint lint-tools build test ledger-test ledger ledger-compare race torture fuzz bench cover bench-json bench-smoke serve-smoke
+.PHONY: ci vet vet-report mgspvet lint lint-tools build test ledger-test ledger ledger-compare race torture fuzz bench cover bench-json bench-smoke serve-smoke flake
 
 ci: vet vet-report build test ledger-test race serve-smoke ## everything CI runs
 
@@ -124,6 +124,15 @@ serve-smoke:
 bench-json:
 	$(GO) run ./cmd/mgspbench -exp core,mixed,fig10s -json BENCH_core.json
 	$(GO) run ./cmd/mgspstat -validate BENCH_core.json
+
+# Flakiness census: the tests COUNT times on an idle host, then again beside
+# BUSY busy loops (at most nproc), as per-test run and failure counts in
+# FLAKE.jsonl. It reports and gates nothing, and ci does not run it.
+COUNT ?= 20
+PKGS ?= ./...
+BUSY ?= 2
+flake:
+	GO=$(GO) COUNT=$(COUNT) PKGS="$(PKGS)" BUSY=$(BUSY) OUT=FLAKE.jsonl sh scripts/flake.sh
 
 # The crash harness on its own, race detector on: ~200 sampled (seed,
 # crash-index) power cuts with 4 racing writers per run under the region

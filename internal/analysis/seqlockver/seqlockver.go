@@ -1,12 +1,12 @@
-// Package seqlockver defines an analyzer for the optimistic-read protocol
-// the DRAM frame cache relies on (DESIGN.md §13): a reader loads the
-// seqlock version word, checks parity, copies the protected data, and must
-// re-load and compare the version AFTER the copy — a section that never
-// re-validates returns torn data silently. Fields acting as seqlock
-// versions are declared with //mgsp:seqlock on the field; only annotated
-// fields are checked, because not every atomic version word is a seqlock
-// (core's MGL lock versions are validated cross-function by the resolver's
-// optimistic view and do media reads in-section by design).
+// Package seqlockver defines an analyzer for optimistic seqlock read
+// sections (DESIGN.md §15.2): a reader loads the seqlock version word,
+// checks parity, copies the protected data, and must re-load and compare
+// the version AFTER the copy — a section that never re-validates returns
+// torn data silently. Fields acting as seqlock versions are declared with
+// //mgsp:seqlock on the field; only annotated fields are checked, because
+// not every atomic version word is a seqlock. No field in the tree carries
+// the annotation today (the frame cache is latched, DESIGN.md §13); the pass
+// and its testdata keep the protocol checkable for the next one.
 //
 // For every section — an assignment v := x.ver.Load() of an annotated
 // field to a local variable — the analyzer checks:

@@ -17,7 +17,7 @@ var mixedRatios = []int{10, 30, 50, 70, 90}
 
 // cacheMetricKeys are the cache-tier counters exported per cell.
 var cacheMetricKeys = []string{
-	"cache.hits", "cache.misses", "cache.evictions", "cache.read_retry",
+	"cache.hits", "cache.misses", "cache.evictions",
 }
 
 // Mixed runs the read/write-ratio sweep (the fig9 shape) across two

@@ -185,7 +185,7 @@ func TestCacheObsMetrics(t *testing.T) {
 	}
 	snap := fs.Obs().Snapshot()
 	for _, name := range []string{
-		"cache.hits", "cache.misses", "cache.evictions", "cache.read_retry",
+		"cache.hits", "cache.misses", "cache.evictions",
 	} {
 		if _, ok := snap.Values[name]; !ok {
 			t.Errorf("metric %q missing from obs snapshot", name)

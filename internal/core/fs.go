@@ -77,8 +77,8 @@ type FS struct {
 	files map[string]*file
 
 	// optGate arms the optimistic lock-free read path (optread.go): set once
-	// at mkFS under MGL, whose locks carry the node versions, so LockFile
-	// pays nothing (writerEnter/writerExit return immediately).
+	// at mkFS under MGL. LockFile reads take Fig 13's file lock, so the gate
+	// costs it nothing (writerEnter/writerExit return immediately).
 	optGate bool
 
 	stats Stats
@@ -243,6 +243,12 @@ type file struct {
 	sizeMu sim.Mutex // size extension
 	size   atomic.Int64
 
+	// resetMu orders live ops against the two paths that drop the whole
+	// tree under them: live ReadAt, WriteAt and WriteMulti hold it shared
+	// for the whole op, Truncate and create-over hold it exclusive. A wall
+	// lock: it charges no virtual time.
+	resetMu sync.RWMutex
+
 	flock sim.RWMutex // used in LockFile mode
 
 	// Sticky intention locks per worker (lazy intention cleaning), striped
@@ -332,6 +338,8 @@ func (fs *FS) Create(ctx *sim.Ctx, name string) (vfs.File, error) {
 			// Truncating the tree would destroy the pinned views.
 			return nil, ErrHasSnapshots
 		}
+		f.resetMu.Lock()
+		defer f.resetMu.Unlock()
 		if fs.cleaner != nil {
 			// The cleaner walks the tree under sizeMu; discarding it out from
 			// underneath would free logs mid-walk.
@@ -538,6 +546,8 @@ func (h *handle) Truncate(ctx *sim.Ctx, size int64) error {
 		return ErrHasSnapshots
 	}
 	ctx.Advance(f.fs.costs.Syscall + f.fs.costs.VFSOp)
+	f.resetMu.Lock()
+	defer f.resetMu.Unlock()
 	// Truncate mutates outside node locks (discard/write-back, size, file
 	// zeroing); drain optimistic readers for the whole section. The nested
 	// enters from discardTree/writeback below pair up harmlessly.

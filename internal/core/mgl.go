@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"mgsp/internal/sim"
 )
@@ -67,13 +66,6 @@ type mglLock struct {
 
 	ivs    [numModes]sim.GapList
 	starts map[holderKey]int64
-
-	// ver is the node's optimistic-read version: bumped (under mu) when a W
-	// holder is granted and again when it releases, so the value is odd
-	// exactly while an exclusive writer is active. Lock-free readers record
-	// it per visited node and re-validate after copying (optread.go); W
-	// excludes W, so single increments keep the parity exact.
-	ver atomic.Uint64
 }
 
 type holderKey struct {
@@ -198,7 +190,6 @@ func (l *mglLock) grant(ctx *sim.Ctx, mode lockMode) {
 		l.r++
 	case lockW:
 		l.w++
-		l.ver.Add(1) // odd: exclusive writer active
 	}
 }
 
@@ -238,7 +229,6 @@ func (l *mglLock) Unlock(ctx *sim.Ctx, mode lockMode) {
 		l.r--
 	case lockW:
 		l.w--
-		l.ver.Add(1) // even again: writer gone, version moved
 	}
 	if l.ir < 0 || l.iw < 0 || l.r < 0 || l.w < 0 {
 		panic("core: mgl lock underflow")

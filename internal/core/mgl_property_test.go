@@ -102,13 +102,23 @@ func TestMGLDisjointWritersTryFailBudget(t *testing.T) {
 // property: when writers DO share a lock prefix — every op inside one 256K
 // subtree, many ops on the very same leaf — MGL must serialize them into
 // block-atomic history. Eight workers hammer four shared 4 KiB blocks while
-// readers (on the optimistic lock-free path) continuously check that no
-// block ever reads as an interleaving of two writers, and the final state
-// of every block must be exactly one writer's fill.
+// readers continuously check that no block ever reads as an interleaving of
+// two writers, and the final state of every block must be exactly one
+// writer's fill. It runs without the frame tier (readers on the optimistic
+// lock-free path) and with a one-set tier (readers on latched frames).
 func TestMGLSharedPrefixSerialization(t *testing.T) {
-	dev := nvm.New(128<<20, sim.ZeroCosts())
-	fs := MustNew(dev, DefaultOptions())
+	for _, frames := range []int{0, 8} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			testSharedPrefixSerialization(t, frames)
+		})
+	}
+}
 
+func testSharedPrefixSerialization(t *testing.T, frames int) {
+	dev := nvm.New(128<<20, sim.ZeroCosts())
+	opts := DefaultOptions()
+	opts.CacheFrames = frames
+	fs := MustNew(dev, opts)
 	setup := sim.NewCtx(100, 1)
 	f0, _ := fs.Create(setup, "f")
 	f0.WriteAt(setup, make([]byte, 256*1024), 0)
@@ -183,46 +193,13 @@ func TestMGLSharedPrefixSerialization(t *testing.T) {
 	}
 	// The readers must actually have exercised the optimistic machinery —
 	// served lock-free or counted a fallback — or the serialization check
-	// above silently ran on the locked path only.
+	// above silently ran on the locked path only; with the tier on they must
+	// also have been served by frames.
 	if fs.stats.OptReads.Load()+fs.stats.OptReadFallbacks.Load() == 0 {
 		t.Fatal("optimistic read path never engaged")
 	}
-}
-
-// TestMGLLockMatrixOptimistic extends the Table-I matrix to the optimistic
-// read path's version protocol: for every mode, holding it leaves the node
-// version odd exactly for W (lock-free walkers must bail), and a full
-// hold/release cycle moves the version exactly for W (post-copy validation
-// must fail for readers that overlapped a writer, and must NOT spuriously
-// fail for readers that overlapped IR/IW/R holders).
-func TestMGLLockMatrixOptimistic(t *testing.T) {
-	for _, held := range []lockMode{lockIR, lockIW, lockR, lockW} {
-		held := held
-		t.Run(held.String(), func(t *testing.T) {
-			var l mglLock
-			holder := sim.NewCtx(0, 1)
-			v0 := l.ver.Load()
-			if v0&1 != 0 {
-				t.Fatal("fresh lock version odd")
-			}
-			l.Lock(holder, held)
-			mid := l.ver.Load()
-			if wantOdd := held == lockW; (mid&1 == 1) != wantOdd {
-				t.Fatalf("version %d while %v held: odd=%v, want %v", mid, held, mid&1 == 1, wantOdd)
-			}
-			l.Unlock(holder, held)
-			v1 := l.ver.Load()
-			if v1&1 != 0 {
-				t.Fatalf("version %d odd after release", v1)
-			}
-			if held == lockW {
-				if v1 == v0 {
-					t.Fatal("W hold/release left the version unchanged: overlapping optimistic reads would validate stale data")
-				}
-			} else if v1 != v0 {
-				t.Fatalf("%v hold/release moved the version %d -> %d: optimistic readers would spuriously fall back", held, v0, v1)
-			}
-		})
+	if frames > 0 && fs.Cache().Stats().Hits == 0 {
+		t.Fatal("no read hit a frame")
 	}
 }
 

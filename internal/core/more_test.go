@@ -8,6 +8,7 @@ import (
 
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
+	"mgsp/internal/vfs"
 )
 
 // TestMetaLogClaimCollision: workers whose ids hash to the same entry must
@@ -222,5 +223,81 @@ func TestMetaLogWaitsWhenFull(t *testing.T) {
 		if i != held[7] {
 			ml.retire(ctx, i)
 		}
+	}
+}
+
+// TestTreeResetRacingOps: Truncate and create-over drop the whole tree. A
+// write or a read in flight on another handle must finish before the tree
+// goes, not run on against a nil root.
+func TestTreeResetRacingOps(t *testing.T) {
+	const fileSize = 1 << 20
+	for _, reset := range []string{"truncate", "create-over"} {
+		t.Run(reset, func(t *testing.T) {
+			fs := MustNew(nvm.New(64<<20, sim.ZeroCosts()), DefaultOptions())
+			setup := sim.NewCtx(100, 1)
+			h0, err := fs.Create(setup, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h0.WriteAt(setup, make([]byte, fileSize), 0); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					ctx := sim.NewCtx(w, int64(w)+7)
+					h, err := fs.Open(ctx, "f")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer h.Close(ctx)
+					buf := make([]byte, LeafSpan)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						off := int64(ctx.Rand.Intn(fileSize/LeafSpan)) * LeafSpan
+						if w == 0 {
+							_, err = h.WriteAt(ctx, buf, off)
+						} else {
+							_, err = h.ReadAt(ctx, buf, off)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			ctx := sim.NewCtx(10, 3)
+			for i := 0; i < 200; i++ {
+				if reset == "truncate" {
+					err = h0.Truncate(ctx, int64(ctx.Rand.Intn(fileSize)))
+				} else {
+					var h vfs.File
+					if h, err = fs.Create(ctx, "f"); err == nil {
+						err = h.Close(ctx)
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if err := h0.Close(setup); err != nil {
+				t.Fatal(err)
+			}
+			if rep := fs.AuditBlocks(); !rep.Clean() {
+				t.Fatalf("leaked or double-counted blocks: %d orphans, %d unallocated", len(rep.Orphans), len(rep.Unallocated))
+			}
+		})
 	}
 }

@@ -24,6 +24,8 @@
 // radix tree parent-before-child, so intra-class nesting cannot cycle.
 //
 //mgsp:lock-order FS.snapAdmin < FS.mu < file.sizeMu
+//mgsp:lock-order FS.mu < file.resetMu < file.sizeMu
+//mgsp:lock-order file.resetMu < file.flock
 //mgsp:lock-order FS.mu < file.snapMu
 //mgsp:lock-order file.treeMu < file.snapMu
 //mgsp:lock-order file.flock < file.sizeMu
@@ -60,8 +62,9 @@ type Options struct {
 	// baseline of Figure 13.
 	MultiGranularity bool
 	// Locking selects file-level or multiple-granularity locking. Under
-	// LockMGL, reads that miss the frame tier first try the lock-free
-	// version-validated path of optread.go and fall back to R locks.
+	// LockMGL, reads that miss the frame tier first try the lock-free path
+	// of optread.go, validated by the file's writer gate, and fall back to R
+	// locks.
 	Locking LockMode
 	// GreedyLocking enables the single-lock fast path when the file has one
 	// reference (§III-C2, "greedy locking").
@@ -87,10 +90,10 @@ type Options struct {
 	CleanerBudget int64
 	// CacheFrames enables the DRAM page-cache tier (internal/cache, DESIGN.md
 	// §13) with at least that many 4 KiB frames (rounded up to the pool's set
-	// geometry). The cache is write-through: single-block reads hit frames
-	// via the optimistic latch-free protocol instead of the media, a miss
-	// fills its frame while the read is pinned, and every write commits
-	// through the shadow log before it patches frames. Zero disables the
+	// geometry). The cache is write-through: single-block reads copy from
+	// frames under the set mutex instead of reading the media, a miss fills
+	// its frame while the read is pinned, and every write commits through
+	// the shadow log before it patches frames. Zero disables the
 	// cache — every ablation and recovery path is bit-identical to the
 	// uncached system. Negative values are invalid.
 	CacheFrames int

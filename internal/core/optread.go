@@ -1,20 +1,21 @@
 package core
 
 // Optimistic lock-free reads (DESIGN.md §13.2). Under MGL a read that
-// misses the frame tier first runs with zero MGL traffic: it registers in the
-// file's Dekker-style gate (optRd) and bails if a writer section is open
-// (optWS != optWF); walks the live tree or a snapshot's view recording each
-// node's version (mglLock.ver, odd while a W holder is active) and bailing
-// on odd; then validates every version and that no writer entered (optWS
-// unmoved), else falls back to the locked walk. A cache miss installs its
-// block before deregistering. Snapshot reads qualify because DropSnapshot
-// refuses while a snapshot has open handles, so its pins outlive readers.
+// misses the frame tier first runs with zero MGL traffic, validated by the
+// file's writer gate alone: it registers (optRd), bails if a writer section
+// is open (optWS != optWF), walks the live tree or a snapshot's view, and
+// bails if a writer entered since it registered (optWS moved); the caller
+// then runs the locked walk. A cache miss installs its block before
+// deregistering. Snapshot reads qualify because DropSnapshot refuses while a
+// snapshot has open handles, so its pins outlive readers.
 //
-// Every mutating section calls writerEnter, which publishes the section and
-// spins until no reader is registered. Readers never block, so the spin is
-// bounded by one in-flight copy, and readers that register after the publish
-// bail at once, so writers cannot starve. The versions are a second guard:
-// a mutation path that missed the gate is still caught if it holds W locks.
+// Every path that mutates what the walk reads enters the gate first:
+// file.write before it takes W locks, the cleaner's sweep before its
+// try-locks, and Truncate, discard and write-back, which take none.
+// writerEnter publishes the section and spins until no reader is
+// registered, so no mutation overlaps a registered reader's walk. Readers
+// never block, so the spin is bounded by one in-flight copy, and readers
+// that register after the publish bail at once, so writers cannot starve.
 // The gate counters are volatile and unmetered in virtual time; the walk
 // charges the same IndexStep and media costs as the locked path.
 
@@ -45,19 +46,13 @@ func (f *file) writerExit() {
 	f.optWF.Add(1)
 }
 
-// nodeVer is one recorded (node, version) observation of the lock-free walk.
-type nodeVer struct {
-	n *node
-	v uint64
-}
-
 // readOptimistic attempts the lock-free read of p at off, of snapshot s or
-// (s == nil) of the live file. It reports false when the attempt was
-// abandoned; the caller then runs the locked path, which fully overwrites p.
-// A fill installs its frame after the final validation but before the
-// deferred deregistration: a writer that opened its section after this
-// reader registered is still draining in writerEnter, so it patches the
-// frame only after the install.
+// (s == nil) of the live file. It reports false when a writer section was
+// open or opened during the walk; the caller then runs the locked path,
+// which fully overwrites p. A fill installs its frame before the deferred
+// deregistration: a writer that opened its section after this reader
+// registered is still draining in writerEnter, so it patches the frame only
+// after the install.
 func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, s *snapshot, fill bool) bool {
 	fs := f.fs
 	f.optRd.Add(1)
@@ -65,18 +60,13 @@ func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, s *snapshot, fi
 	ws := f.optWS.Load()
 	ok := ws == f.optWF.Load()
 	var frame []byte
-	vers := make([]nodeVer, 0, 8)
 	key, root := int(f.key.Load()), f.root.Load()
 	if ok {
-		v, eof := f.viewOf(s, &vers)
-		frame, ok = f.resolveRead(ctx, root, v, eof, p, off, fill)
+		v, eof := f.viewOf(s)
+		frame = f.resolveRead(ctx, root, v, eof, p, off, fill)
+		ok = f.optWS.Load() == ws
 	}
-	// Validate after the copy: every visited node's version unchanged (and
-	// even), and no writer section opened since registration.
-	for _, nv := range vers {
-		ok = ok && nv.n.lock.ver.Load() == nv.v
-	}
-	if !ok || f.optWS.Load() != ws {
+	if !ok {
 		if s == nil {
 			fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
 		}

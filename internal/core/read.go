@@ -12,6 +12,8 @@ func (h *handle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if err := h.guard(); err != nil {
 		return 0, err
 	}
+	h.f.resetMu.RLock()
+	defer h.f.resetMu.RUnlock()
 	return h.f.read(ctx, p, off, nil)
 }
 
@@ -33,7 +35,7 @@ func (f *file) read(ctx *sim.Ctx, p []byte, off int64, s *snapshot) (int, error)
 		fs.stats.SnapshotReads.Add(1)
 	}
 	began := ctx.Now()
-	_, size := f.viewOf(s, nil)
+	_, size := f.viewOf(s)
 	if off >= size || len(p) == 0 {
 		return 0, nil
 	}
@@ -60,31 +62,30 @@ func (f *file) read(ctx *sim.Ctx, p []byte, off int64, s *snapshot) (int, error)
 	return n, nil
 }
 
-// viewOf returns the view a read of snapshot s (nil = the live tree) walks,
-// recording node versions into vers if non-nil, and the end of file it sees.
-func (f *file) viewOf(s *snapshot, vers *[]nodeVer) (view, int64) {
+// viewOf returns the view a read of snapshot s (nil = the live tree) walks
+// and the end of file it sees.
+func (f *file) viewOf(s *snapshot) (view, int64) {
 	if s == nil {
-		return view{vers: vers}, f.size.Load()
+		return view{}, f.size.Load()
 	}
-	return view{sid: s.id, vers: vers}, s.size
+	return view{sid: s.id}, s.size
 }
 
 // resolveRead fills p with [off, off+len(p)) as v sees it from root. With
 // fill set it resolves p's whole block, serves p from it and returns the
 // block for the caller to install while still pinned. A nil root never
-// fills: create-over resets the file outside any writer section. ok=false:
-// the view abandoned the walk.
-func (f *file) resolveRead(ctx *sim.Ctx, root *node, v view, eof int64, p []byte, off int64, fill bool) (frame []byte, ok bool) {
+// fills: the locked walk then holds no lock that orders it against a
+// writer's patch.
+func (f *file) resolveRead(ctx *sim.Ctx, root *node, v view, eof int64, p []byte, off int64, fill bool) []byte {
 	if !fill || root == nil {
-		return nil, f.readView(ctx, root, v, off, p, eof)
+		f.readView(ctx, root, v, off, p, eof)
+		return nil
 	}
 	lo := off / LeafSpan * LeafSpan
-	frame = make([]byte, LeafSpan)
-	if !f.readView(ctx, root, v, lo, frame, eof) {
-		return nil, false
-	}
+	frame := make([]byte, LeafSpan)
+	f.readView(ctx, root, v, lo, frame, eof)
 	copy(p, frame[off-lo:])
-	return frame, true
+	return frame
 }
 
 // readLocked serves p at off under R locks on the read's cover, or under the
@@ -97,8 +98,8 @@ func (f *file) readLocked(ctx *sim.Ctx, p []byte, off int64, s *snapshot, fill b
 		locks = f.lockOp(ctx, start, f.readCover(ctx, start, off, end, nil), false)
 		root = f.root.Load() // the tree may have grown while this read locked
 	}
-	v, eof := f.viewOf(s, nil)
-	if frame, _ := f.resolveRead(ctx, root, v, eof, p, off, fill); frame != nil {
+	v, eof := f.viewOf(s)
+	if frame := f.resolveRead(ctx, root, v, eof, p, off, fill); frame != nil {
 		f.fs.pcache.Install(key, off/LeafSpan, frame, false)
 	}
 	if locks != nil {

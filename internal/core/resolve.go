@@ -12,28 +12,17 @@ import (
 // happens to each run of bytes with one source is the sink's.
 
 // view selects the (word, logOff) the walk sees at each node: the live
-// tree, snapshot sid's frozen image, or the live tree read lock-free, each
-// node's MGL version recorded for the caller to re-validate.
+// tree, or snapshot sid's frozen image.
 type view struct {
-	sid  uint64     // snapshot id; 0 = the live tree
-	vers *[]nodeVer // optimistic: record versions, abandon on odd; nil = locked
+	sid uint64 // snapshot id; 0 = the live tree
 }
 
-// at returns n's word and log offset under v; ok=false abandons the walk
-// (the optimistic view met a W holder).
-func (v view) at(f *file, n *node) (word uint64, logOff int64, ok bool) {
-	if v.vers != nil {
-		ver := n.lock.ver.Load()
-		if ver&1 != 0 {
-			return 0, 0, false
-		}
-		*v.vers = append(*v.vers, nodeVer{n, ver})
-	}
+// at returns n's word and log offset under v.
+func (v view) at(f *file, n *node) (word uint64, logOff int64) {
 	if v.sid != 0 {
-		word, logOff = f.snapNodeView(n, v.sid)
-		return word, logOff, true
+		return f.snapNodeView(n, v.sid)
 	}
-	return n.word.Load(), n.logOff, true
+	return n.word.Load(), n.logOff
 }
 
 // source is where the walk's current fallback lives: the log at device
@@ -60,12 +49,8 @@ type sink struct {
 
 // resolve hands [lo, hi) of n's span to s, one run per stretch with a
 // single source, falling back to fb where no log at or below n is valid.
-// It reports false when the view abandoned the walk.
-func (f *file) resolve(ctx *sim.Ctx, n *node, v view, fb source, lo, hi int64, s *sink) bool {
-	word, logOff, ok := v.at(f, n)
-	if !ok {
-		return false
-	}
+func (f *file) resolve(ctx *sim.Ctx, n *node, v view, fb source, lo, hi int64, s *sink) {
+	word, logOff := v.at(f, n)
 	ctx.Advance(f.fs.costs.IndexStep)
 	off := n.offset()
 	if n.leaf {
@@ -90,29 +75,26 @@ func (f *file) resolve(ctx *sim.Ctx, n *node, v view, fb source, lo, hi int64, s
 			f.emit(ctx, s, src, cur, uEnd)
 			cur = uEnd
 		}
-		return true
+		return
 	}
 	if word&bitValid != 0 && logOff != 0 {
 		fb = source{logOff, off}
 	}
 	if word&bitExisting == 0 {
 		f.emit(ctx, s, fb, lo, hi)
-		return true
+		return
 	}
 	cs := n.childSpan(f.fs.opts.Degree)
 	for cur := lo; cur < hi; {
 		ci := (cur - off) / cs
 		cEnd := min(off+(ci+1)*cs, hi)
 		if c := n.children[ci].Load(); c != nil {
-			if !f.resolve(ctx, c, v, fb, cur, cEnd, s) {
-				return false
-			}
+			f.resolve(ctx, c, v, fb, cur, cEnd, s)
 		} else {
 			f.emit(ctx, s, fb, cur, cEnd)
 		}
 		cur = cEnd
 	}
-	return true
 }
 
 // emit hands the run [lo, hi) served by src to s.
@@ -145,16 +127,15 @@ func (f *file) emit(ctx *sim.Ctx, s *sink, src source, lo, hi int64) {
 }
 
 // readView fills buf with file bytes [off, off+len(buf)) as v sees them,
-// zero from eof on. A nil root leaves the file as the only source. It
-// reports false when the view abandoned the walk.
-func (f *file) readView(ctx *sim.Ctx, root *node, v view, off int64, buf []byte, eof int64) bool {
+// zero from eof on. A nil root leaves the file as the only source.
+func (f *file) readView(ctx *sim.Ctx, root *node, v view, off int64, buf []byte, eof int64) {
 	s := sink{buf: buf, base: off, eof: eof}
 	end := off + int64(len(buf))
 	if root == nil {
 		f.emit(ctx, &s, source{}, off, end)
-		return true
+		return
 	}
-	return f.resolve(ctx, root, v, source{}, off, end, &s)
+	f.resolve(ctx, root, v, source{}, off, end, &s)
 }
 
 // resolveData fills buf with the latest content of [lo, hi) of the live

@@ -43,8 +43,8 @@ func randResolverWrite(rng *rand.Rand) (int64, []byte) {
 
 // TestResolverOracle runs every view and sink of the resolver against a byte
 // shadow on seeded random Degree-4 trees: the locked live read, the
-// optimistic read, a snapshot taken mid-script (locked and optimistic
-// views), the cleaner's merge of cold
+// optimistic read, a snapshot taken mid-script (read locked and
+// optimistically), the cleaner's merge of cold
 // subtrees into a valid ancestor's log and into the file, and the last-Close
 // write-back, checked on the raw file bytes.
 func TestResolverOracle(t *testing.T) {

@@ -49,10 +49,10 @@ type Stats struct {
 	MGLTryFails     obs.Counter
 	GreedyDemotions obs.ShardedCounter
 	MGLIntentDrops  obs.Counter
-	// OptReads counts reads served by the optimistic lock-free path
-	// (per-node version validation after the copy); OptReadFallbacks counts
-	// optimistic attempts that bailed to the locked path (writer active,
-	// version moved, or a precondition failed mid-walk).
+	// OptReads counts reads served by the optimistic lock-free path (the
+	// file's writer gate validates the walk); OptReadFallbacks counts
+	// optimistic attempts that bailed to the locked path because a writer
+	// section was open or opened during the walk.
 	OptReads         obs.ShardedCounter
 	OptReadFallbacks obs.ShardedCounter
 	// MetaEntries counts metadata-log entries committed (including chain

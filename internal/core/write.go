@@ -93,6 +93,11 @@ func (f *file) write(ctx *sim.Ctx, updates []Update, hist *obs.Histogram, kind o
 	// piggyback pass never starts while this op holds node locks.
 	fs.inFlight.Add(1)
 	defer fs.opExit(ctx)
+	// Hold off Truncate and create-over, which drop the tree. The deferred
+	// release runs before opExit, whose cleaner pass takes fs.mu, which
+	// create-over holds while it waits here.
+	f.resetMu.RLock()
+	defer f.resetMu.RUnlock()
 	// Drain optimistic readers before mutating anything they might copy.
 	f.writerEnter()
 	defer f.writerExit()

@@ -6,17 +6,20 @@ import (
 	"mgsp/internal/sim"
 )
 
-// Per-worker media-op attribution: every persistence-affecting operation is
-// charged to the issuing Ctx.ID and the totals add up to MediaOps.
+// Per-context media-op attribution: every persistence-affecting operation is
+// charged to the issuing context's tally, reads and temporal stores are not,
+// and the totals add up to MediaOps, also across the power cut.
 func TestWorkerOpAttribution(t *testing.T) {
 	d := New(1<<20, sim.ZeroCosts())
 	a := sim.NewCtx(3, 1)
 	b := sim.NewCtx(7, 2)
+	a.Tally, b.Tally = &sim.MediaTally{}, &sim.MediaTally{}
 
 	buf := make([]byte, 64)
 	d.WriteNT(a, buf, 0)
 	d.WriteNT(a, buf, 64)
 	d.Store8(a, 128, 42)
+	d.Read(a, buf, 0)
 	d.WriteNT(b, buf, 256)
 	if !d.CAS8(b, 320, 0, 1) {
 		t.Fatal("CAS8 failed on zeroed device")
@@ -25,28 +28,22 @@ func TestWorkerOpAttribution(t *testing.T) {
 	if n := d.Flush(b, 512, 64); n == 0 {
 		t.Fatal("Flush persisted nothing")
 	}
-
-	st := d.Stats()
-	if got := st.WorkerOps(3); got != 3 {
-		t.Fatalf("worker 3 ops = %d, want 3", got)
+	if got := a.Tally.Ops.Load(); got != 3 {
+		t.Fatalf("ctx a ops = %d, want 3", got)
 	}
-	if got := st.WorkerOps(7); got != 3 {
-		t.Fatalf("worker 7 ops = %d, want 3", got)
-	}
-	if got := st.WorkerOps(99); got != 0 {
-		t.Fatalf("unknown worker ops = %d, want 0", got)
-	}
-	var sum int64
-	for _, n := range st.Workers() {
-		sum += n
-	}
-	if total := st.MediaOps.Load(); sum != total {
-		t.Fatalf("per-worker sum %d != MediaOps %d", sum, total)
+	if got := b.Tally.Ops.Load(); got != 3 {
+		t.Fatalf("ctx b ops = %d, want 3", got)
 	}
 
-	d.ResetStats()
-	if len(d.Stats().Workers()) != 0 {
-		t.Fatal("ResetStats did not clear worker attribution")
+	d.ArmCrash(1, 5)
+	d.WriteNT(a, buf, 576) // survives
+	d.WriteNT(b, buf, 640) // torn: the cut
+	d.Store8(a, 704, 1)    // after the cut: overlay only
+	if !d.Crashed() {
+		t.Fatal("device did not crash at the armed fail point")
+	}
+	if sum, total := a.Tally.Ops.Load()+b.Tally.Ops.Load(), d.Stats().MediaOps.Load(); sum != total || total != 7 {
+		t.Fatalf("tallied ops %d, MediaOps %d, want both 7", sum, total)
 	}
 }
 

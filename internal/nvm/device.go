@@ -52,11 +52,6 @@ type Stats struct {
 	// injector's fail-after counter). Like every counter here it stops at
 	// the power cut.
 	MediaOps obs.Counter
-
-	// workerOps attributes media operations to the sim.Ctx.ID that issued
-	// them. Concurrent crash harnesses use it to report which writers were
-	// actually driving the device when the fail point hit.
-	workerOps sync.Map // int -> *atomic.Int64
 }
 
 // Register publishes the media counters into r under prefix (e.g. "nvm."):
@@ -67,34 +62,6 @@ func (s *Stats) Register(r *obs.Registry, prefix string) {
 	r.RegisterCounter(prefix+"flushes", &s.Flushes)
 	r.RegisterCounter(prefix+"fences", &s.Fences)
 	r.RegisterCounter(prefix+"media_ops", &s.MediaOps)
-}
-
-func (s *Stats) noteWorker(id int) {
-	v, ok := s.workerOps.Load(id)
-	if !ok {
-		v, _ = s.workerOps.LoadOrStore(id, new(atomic.Int64))
-	}
-	v.(*atomic.Int64).Add(1)
-}
-
-// WorkerOps returns the number of media operations issued by the worker with
-// the given sim.Ctx.ID.
-func (s *Stats) WorkerOps(id int) int64 {
-	if v, ok := s.workerOps.Load(id); ok {
-		return v.(*atomic.Int64).Load()
-	}
-	return 0
-}
-
-// Workers returns a snapshot of per-worker media-op counts keyed by
-// sim.Ctx.ID.
-func (s *Stats) Workers() map[int]int64 {
-	out := make(map[int]int64)
-	s.workerOps.Range(func(k, v any) bool {
-		out[k.(int)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	return out
 }
 
 // Device is a simulated NVM DIMM set. It is safe for concurrent use by
@@ -217,9 +184,9 @@ func (d *Device) WriteNT(ctx *sim.Ctx, data []byte, off int64) {
 	d.clearDirty(off, len(data))
 	d.stats.MediaWriteBytes.Add(int64(len(data)))
 	d.stats.MediaOps.Add(1)
-	d.stats.noteWorker(ctx.ID)
 	if ctx.Tally != nil {
 		ctx.Tally.WriteBytes.Add(int64(len(data)))
+		ctx.Tally.Ops.Add(1)
 	}
 	ctx.Advance(d.costs.NVMWriteLat)
 	d.timeline.Reserve(ctx, d.costs.WriteCost(len(data))-d.costs.NVMWriteLat)
@@ -264,9 +231,9 @@ func (d *Device) Flush(ctx *sim.Ctx, off int64, n int) int {
 	d.stats.MediaWriteBytes.Add(int64(nb))
 	d.stats.Flushes.Add(1)
 	d.stats.MediaOps.Add(1)
-	d.stats.noteWorker(ctx.ID)
 	if ctx.Tally != nil {
 		ctx.Tally.WriteBytes.Add(int64(nb))
+		ctx.Tally.Ops.Add(1)
 	}
 	ctx.Advance(int64(len(lines)) * d.costs.CacheLineFlush)
 	d.timeline.Reserve(ctx, d.costs.WriteCost(nb)-d.costs.NVMWriteLat)
@@ -322,9 +289,9 @@ func (d *Device) Store8(ctx *sim.Ctx, off int64, v uint64) {
 	(*atomic.Uint64)(unsafe.Pointer(&d.durable[off])).Store(v)
 	d.stats.MediaWriteBytes.Add(8)
 	d.stats.MediaOps.Add(1)
-	d.stats.noteWorker(ctx.ID)
 	if ctx.Tally != nil {
 		ctx.Tally.WriteBytes.Add(8)
+		ctx.Tally.Ops.Add(1)
 	}
 	ctx.Advance(d.costs.NVMWriteLat)
 }
@@ -349,9 +316,9 @@ func (d *Device) CAS8(ctx *sim.Ctx, off int64, old, new uint64) bool {
 	(*atomic.Uint64)(unsafe.Pointer(&d.durable[off])).Store(new)
 	d.stats.MediaWriteBytes.Add(8)
 	d.stats.MediaOps.Add(1)
-	d.stats.noteWorker(ctx.ID)
 	if ctx.Tally != nil {
 		ctx.Tally.WriteBytes.Add(8)
+		ctx.Tally.Ops.Add(1)
 	}
 	ctx.Advance(d.costs.NVMWriteLat)
 	return true
@@ -523,8 +490,4 @@ func (d *Device) ResetStats() {
 	d.stats.Flushes.Store(0)
 	d.stats.Fences.Store(0)
 	d.stats.MediaOps.Store(0)
-	d.stats.workerOps.Range(func(k, _ any) bool {
-		d.stats.workerOps.Delete(k)
-		return true
-	})
 }

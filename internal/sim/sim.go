@@ -26,10 +26,13 @@ import (
 // MediaTally accumulates the media traffic attributable to one worker (or one
 // subsystem, e.g. the background cleaner). The device-wide counters in
 // nvm.Stats cannot separate foreground from background traffic; a context
-// carrying a tally gets its own per-byte attribution on top of them.
+// carrying a tally gets its own attribution on top of them. Ops counts the
+// persistence-affecting operations nvm.Stats.MediaOps counts, and like it
+// stops at the power cut.
 type MediaTally struct {
 	ReadBytes  atomic.Int64
 	WriteBytes atomic.Int64
+	Ops        atomic.Int64
 }
 
 // Ctx is a per-worker simulation context. Exactly one goroutine may use a Ctx

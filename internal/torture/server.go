@@ -207,7 +207,7 @@ func RunServer(cfg ServerConfig) (*ServerResult, error) {
 	if res.Crashed {
 		dev.Recover()
 	}
-	rctx := sim.NewCtx(recoveryWorker, cfg.Seed)
+	rctx := newCtx(recoveryWorker, cfg.Seed)
 	fs, err := core.Mount(rctx, dev, srv.FSOptions())
 	if err != nil {
 		res.violate(cfg, "mount", -1, fmt.Sprintf("recovery failed: %v", err))

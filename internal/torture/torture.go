@@ -53,6 +53,29 @@ const (
 
 const fileName = "torture.dat"
 
+// newCtx returns a worker context carrying a media tally, so every media op
+// a run issues is attributed to the context that issued it.
+func newCtx(id int, seed int64) *sim.Ctx {
+	ctx := sim.NewCtx(id, seed)
+	ctx.Tally = &sim.MediaTally{}
+	return ctx
+}
+
+// workerOps sums by worker id the media-op tallies of ctxs and of the
+// cleaner contexts of fss, which core gives tallies of their own.
+func workerOps(fss []*core.FS, ctxs []*sim.Ctx) map[int]int64 {
+	for _, fs := range fss {
+		if c := fs.Cleaner(); c != nil {
+			ctxs = append(ctxs, c.Ctx())
+		}
+	}
+	out := make(map[int]int64)
+	for _, c := range ctxs {
+		out[c.ID] += c.Tally.Ops.Load()
+	}
+	return out
+}
+
 // Config parameterizes one torture run. The zero value of every field gets
 // a usable default from withDefaults; Seed and CrashAt are the two knobs a
 // repro line pins.
@@ -74,7 +97,7 @@ type Config struct {
 	ReadEvery  int // cache mode: cache-side ops (reads + private writes), default 3
 
 	// Cache arms the DRAM frame tier: the FS mounts with a small
-	// write-through frame pool, traces gain ReadAt ops (racing the optimistic
+	// write-through frame pool, traces gain ReadAt ops (racing the latched
 	// frame reads, miss fills and evictions against committed-write
 	// patches), and each writer gets a private region checked live for
 	// read-your-writes.
@@ -314,7 +337,7 @@ type testBed struct {
 }
 
 func newTestBed(devSize, fileSize, seed int64, format func(*nvm.Device) (vfs.FS, error)) (*testBed, error) {
-	b := &testBed{dev: nvm.New(devSize, sim.ZeroCosts()), setup: sim.NewCtx(setupWorker, seed)}
+	b := &testBed{dev: nvm.New(devSize, sim.ZeroCosts()), setup: newCtx(setupWorker, seed)}
 	var err error
 	if b.fs, err = format(b.dev); err != nil {
 		return nil, err
@@ -334,7 +357,7 @@ func newTestBed(devSize, fileSize, seed int64, format func(*nvm.Device) (vfs.FS,
 // remount recovers a crashed image through mount under the recovery worker
 // and reopens the shared file.
 func remount(dev *nvm.Device, seed int64, mount Mounter) (*sim.Ctx, vfs.FS, vfs.File, error) {
-	ctx := sim.NewCtx(recoveryWorker, seed)
+	ctx := newCtx(recoveryWorker, seed)
 	fs, err := mount(ctx, dev)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("recovery failed: %w", err)
@@ -346,15 +369,17 @@ func remount(dev *nvm.Device, seed int64, mount Mounter) (*sim.Ctx, vfs.FS, vfs.
 	return ctx, fs, h, nil
 }
 
-// runCtx carries one run's live objects. lastPriv[w] is the stamp of writer
-// w's last acked private-region write; it is only ever touched from w's own
-// goroutine (its writes and its reads), so it needs no synchronization.
+// runCtx carries one run's live objects. ctxs[w] is writer w's context.
+// lastPriv[w] is the stamp of writer w's last acked private-region write;
+// it is only ever touched from w's own goroutine (its writes and its
+// reads), so it needs no synchronization.
 type runCtx struct {
 	*testBed
 	cfg      Config
 	mgsp     *core.FS
 	st       *state
 	tr       [][]op
+	ctxs     []*sim.Ctx
 	lastPriv []uint64
 }
 
@@ -367,8 +392,12 @@ func prepare(cfg Config) (*runCtx, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctxs := make([]*sim.Ctx, cfg.Writers)
+	for w := range ctxs {
+		ctxs[w] = newCtx(w, cfg.Seed+int64(w)*104729+2)
+	}
 	return &runCtx{testBed: b, cfg: cfg, mgsp: b.fs.(*core.FS), st: newState(cfg), tr: traces(cfg),
-		lastPriv: make([]uint64, cfg.Writers)}, nil
+		ctxs: ctxs, lastPriv: make([]uint64, cfg.Writers)}, nil
 }
 
 // execute arms the crash (if configured) and drives the workload in the
@@ -430,6 +459,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	dev, st := r.dev, r.st
+	fss, tallied := []*core.FS{r.mgsp}, append([]*sim.Ctx{r.setup}, r.ctxs...)
 	r.execute()
 	crashed := dev.Crashed()
 	res := &Result{
@@ -462,6 +492,7 @@ func Run(cfg Config) (*Result, error) {
 			return res, nil
 		}
 		mfs := fs2.(*core.FS)
+		fss, tallied = append(fss, mfs), append(tallied, rctx)
 		st.verify(cfg, res, rctx, mfs, h2)
 		res.Trace = flightRecord(mfs, res.Violations)
 		h2.Close(rctx)
@@ -472,7 +503,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res.MediaOps = dev.Stats().MediaOps.Load()
-	res.WorkerOps = dev.Stats().Workers()
+	res.WorkerOps = workerOps(fss, tallied)
 	st.report(res)
 	return res, nil
 }
@@ -486,7 +517,7 @@ func (r *runCtx) runConcurrent() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ctx := sim.NewCtx(w, r.cfg.Seed+int64(w)*104729+2)
+			ctx := r.ctxs[w]
 			h, err := r.fs.Open(ctx, fileName)
 			if err != nil {
 				r.st.noteErr(fmt.Errorf("writer %d open: %w", w, err))
@@ -511,11 +542,9 @@ func (r *runCtx) runConcurrent() {
 // exactly what a single-threaded replay of a crash means.
 func (r *runCtx) runSerial() {
 	rng := rand.New(rand.NewSource(r.cfg.Seed ^ 0x7075726573657265))
-	ctxs := make([]*sim.Ctx, r.cfg.Writers)
 	handles := make([]vfs.File, r.cfg.Writers)
 	for w := 0; w < r.cfg.Writers; w++ {
-		ctxs[w] = sim.NewCtx(w, r.cfg.Seed+int64(w)*104729+2)
-		h, err := r.fs.Open(ctxs[w], fileName)
+		h, err := r.fs.Open(r.ctxs[w], fileName)
 		if err != nil {
 			r.st.noteErr(fmt.Errorf("writer %d open: %w", w, err))
 			return
@@ -530,11 +559,11 @@ func (r *runCtx) runSerial() {
 	for len(active) > 0 && !r.dev.Crashed() {
 		k := rng.Intn(len(active))
 		w := active[k]
-		r.exec(ctxs[w], w, cursor[w], r.tr[w][cursor[w]], handles[w])
+		r.exec(r.ctxs[w], w, cursor[w], r.tr[w][cursor[w]], handles[w])
 		cursor[w]++
 		if cursor[w] == len(r.tr[w]) {
 			if !r.dev.Crashed() {
-				handles[w].Close(ctxs[w])
+				handles[w].Close(r.ctxs[w])
 			}
 			active = append(active[:k], active[k+1:]...)
 		}
@@ -637,9 +666,9 @@ func (r *runCtx) exec(ctx *sim.Ctx, w, i int, o op, h vfs.File) {
 		}
 		st.sched.End(sp, ops())
 		// Live read oracle. Region writes commit atomically with respect to
-		// readers (node locks on the media path, the seqlock on the frame
-		// path), so a read must return one whole op image — mixed stamps mean
-		// a torn frame copy.
+		// readers (node locks or the writer gate on the media path, the set
+		// mutex on the frame path), so a read must return one whole op image
+		// — mixed stamps mean a torn copy.
 		first := getLE64(buf)
 		for off := 8; off+8 <= len(buf); off += 8 {
 			if v := getLE64(buf[off:]); v != first {
